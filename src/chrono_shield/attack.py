@@ -55,27 +55,13 @@ class PsoConfig:
 
 
 @dataclass(frozen=True)
-class AttackConfig:
+class AttackConfig(PsoConfig):
+    """The swarm's PsoConfig plus the shadow's shape and the fitness."""
+
     vertices: int = 3
     darkening: float = 0.43
     fitness: str = "true_prob"  # or "margin"
     early_stop: bool = True
-    swarm: int = 50
-    iterations: int = 100
-    inertia: float = 0.73
-    cognitive: float = 1.49
-    social: float = 1.49
-    seed: int = 0
-
-    def pso(self) -> PsoConfig:
-        return PsoConfig(
-            swarm=self.swarm,
-            iterations=self.iterations,
-            inertia=self.inertia,
-            cognitive=self.cognitive,
-            social=self.social,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -221,13 +207,6 @@ def pso_minimize(
 # End-to-end attack
 
 
-def _predict_many(victim, images: list[RasterImage]) -> list[Prediction]:
-    batch = getattr(victim, "predict_batch", None)
-    if batch is not None:
-        return batch(images)
-    return [victim(img) for img in images]
-
-
 def run_attack(
     img: RasterImage,
     mask: BinaryMask,
@@ -237,15 +216,15 @@ def run_attack(
 ) -> AttackResult:
     """Search for a shadow that flips the victim's label on img.
 
-    victim is any callable RasterImage -> Prediction (an object with a
-    predict_batch method gets batched evaluation). Fitness is the victim's
-    true-class probability, or (margin) true-class minus best-other.
+    victim is any callable list[RasterImage] -> list[Prediction], one
+    Prediction per frame; each swarm round is one call. Fitness is the
+    victim's true-class probability, or (margin) true-class minus best-other.
     """
     if not mask.bits.any():
         raise DegenerateMask("mask has no true bits")
     if config.fitness not in ("true_prob", "margin"):
         raise InvalidConfig(f"unknown fitness {config.fitness!r}")
-    original = _predict_many(victim, [img])[0]
+    original = victim([img])[0]
     k = config.vertices
     if k < 3:
         raise InvalidConfig(f"polygon needs >= 3 vertices, got {k}")
@@ -265,7 +244,7 @@ def run_attack(
             ShadowSpec(vertices=row.reshape(k, 2), darkening=config.darkening) for row in positions
         ]
         images = [apply_shadow(img, mask, spec) for spec in specs]
-        preds = _predict_many(victim, images)
+        preds = victim(images)
         fits = np.empty(len(preds), dtype=np.float64)
         for i, pred in enumerate(preds):
             fits[i] = score(pred)
@@ -283,7 +262,7 @@ def run_attack(
     gbest, _, trace = pso_minimize(
         objective=None,
         dim=2 * k,
-        config=config.pso(),
+        config=config,
         vector_objective=batch_objective,
         should_stop=should_stop,
     )
@@ -294,7 +273,7 @@ def run_attack(
     else:
         shadow = ShadowSpec(vertices=gbest.reshape(k, 2), darkening=config.darkening)
         adv_img = apply_shadow(img, mask, shadow)
-    adv_pred = _predict_many(victim, [adv_img])[0]
+    adv_pred = victim([adv_img])[0]
     return AttackResult(
         adversarial_image=adv_img,
         shadow=shadow,

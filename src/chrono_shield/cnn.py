@@ -260,6 +260,7 @@ def _prep_images(images, side: int, dtype=np.float32) -> np.ndarray:
 
 
 def predict_batch(weights: ModelWeights, images: list[RasterImage]) -> list[Prediction]:
+    """Classify RGB or gray frames (resized internally to the model's input side)."""
     x = _prep_images(images, weights.input_side, dtype=weights.conv1_w.dtype)
     probs = _softmax(_net_forward(weights, x))
     if not np.isfinite(probs).all():
@@ -271,21 +272,14 @@ def predict_batch(weights: ModelWeights, images: list[RasterImage]) -> list[Pred
     return out
 
 
-def forward(weights: ModelWeights, img: RasterImage) -> Prediction:
-    """Classify one RGB frame (resized internally to the model's input side)."""
-    return predict_batch(weights, [img])[0]
-
-
 class Classifier:
-    """Callable wrapper exposing the model as a black-box scorer."""
+    """The model as a black-box victim: frames in, one Prediction per frame."""
 
     def __init__(self, weights: ModelWeights):
         self.weights = weights
 
-    def __call__(self, img: RasterImage) -> Prediction:
-        return forward(self.weights, img)
-
-    def predict_batch(self, images: list[RasterImage]) -> list[Prediction]:
+    def __call__(self, images: list[RasterImage]) -> list[Prediction]:
+        # Resolved at call time, so a tracer that rebinds cnn.predict_batch sees every query.
         return predict_batch(self.weights, images)
 
 

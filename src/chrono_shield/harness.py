@@ -143,7 +143,7 @@ def run_attack_sweep(
     for image_id, (img, label) in enumerate(items):
         if max_images is not None and attacked >= max_images:
             break
-        clean = clf(img)
+        clean = clf([img])[0]
         if clean.label != label:
             continue
         attacked += 1

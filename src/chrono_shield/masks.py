@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .raster import RasterImage, blur_plane, to_grayscale
+from .raster import RasterImage, gaussian_blur, to_grayscale
 
 
 class InvalidThresholds(ValueError):
@@ -353,9 +353,7 @@ def fill_polygon(points: list[tuple[int, int]], width: int, height: int) -> np.n
 def generate_mask(img: RasterImage, params: MaskParams = MaskParams()) -> BinaryMask:
     """Extract the sign-face region of an RGB frame as a filled mask."""
     gray = to_grayscale(img)
-    blurred = blur_plane(gray.pixels[:, :, 0].astype(np.float64), params.sigma, params.blur_radius)
-    blurred_img = RasterImage(np.clip(np.rint(blurred), 0, 255).astype(np.uint8))
-    edges = canny_edges(blurred_img, params.low, params.high)
+    edges = canny_edges(gaussian_blur(gray, params.sigma, params.blur_radius), params.low, params.high)
     grown = morph_dilate(edges, params.dilate_k)
     closed = morph_close(grown, params.close_k)
     min_area = params.min_area_frac * img.width * img.height

@@ -26,19 +26,34 @@ from conftest import flat_image, random_image
 class MeanVictim:
     """Black-box stand-in: class 1 when the frame is bright, smoothly."""
 
-    def __call__(self, img: RasterImage) -> Prediction:
-        m = img.pixels.mean()
-        p1 = 1.0 / (1.0 + np.exp(-(m - 127.0) / 12.0))
-        dist = np.array([1.0 - p1, p1])
-        label = int(dist.argmax())
-        return Prediction(label=label, confidence=float(dist[label]), distribution=dist)
+    def __call__(self, images: list[RasterImage]) -> list[Prediction]:
+        preds = []
+        for img in images:
+            m = img.pixels.mean()
+            p1 = 1.0 / (1.0 + np.exp(-(m - 127.0) / 12.0))
+            dist = np.array([1.0 - p1, p1])
+            label = int(dist.argmax())
+            preds.append(Prediction(label=label, confidence=float(dist[label]), distribution=dist))
+        return preds
 
 
 class ConstVictim:
     """Ignores its input entirely; no shadow can ever flip it."""
 
-    def __call__(self, img: RasterImage) -> Prediction:
-        return Prediction(label=0, confidence=0.9, distribution=np.array([0.9, 0.1]))
+    def __call__(self, images: list[RasterImage]) -> list[Prediction]:
+        return [Prediction(label=0, confidence=0.9, distribution=np.array([0.9, 0.1])) for _ in images]
+
+
+class CountingVictim:
+    """Passes frames through to another victim, recording each batch size."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches: list[int] = []
+
+    def __call__(self, images: list[RasterImage]) -> list[Prediction]:
+        self.batches.append(len(images))
+        return self.inner(images)
 
 
 def triangle(*pts) -> ShadowSpec:
@@ -275,7 +290,7 @@ class TestRunAttack:
         cfg = AttackConfig(vertices=3, darkening=0.2, swarm=20, iterations=30, seed=0)
         res = run_attack(img, mask, MeanVictim(), 1, cfg)
         assert apply_shadow(img, mask, res.shadow) == res.adversarial_image
-        again = MeanVictim()(res.adversarial_image)
+        again = MeanVictim()([res.adversarial_image])[0]
         assert again.label == res.adversarial_prediction.label
 
     def test_early_stop_disabled_runs_full_budget(self):
@@ -306,3 +321,20 @@ class TestRunAttack:
         b = run_attack(img, mask, MeanVictim(), 1, cfg)
         assert a.adversarial_image == b.adversarial_image
         assert np.array_equal(a.shadow.vertices, b.shadow.vertices)
+
+    @pytest.mark.parametrize(
+        "victim, label, cfg, images",
+        [
+            (MeanVictim(), 1, AttackConfig(darkening=0.2, swarm=20, iterations=30, seed=0), 62),
+            (MeanVictim(), 1, AttackConfig(darkening=0.2, swarm=20, iterations=12, seed=0, early_stop=False), 262),
+            (ConstVictim(), 0, AttackConfig(swarm=6, iterations=5, seed=1), 38),
+        ],
+        ids=["early_stop", "full_budget", "never_flips"],
+    )
+    def test_victim_query_budget(self, victim, label, cfg, images):
+        # The clean frame, one batch per swarm round (the initial one plus
+        # one per iteration), then the winner: 2 + swarm * (iterations + 1).
+        counter = CountingVictim(victim)
+        res = run_attack(flat_image(200, 32, 32), BinaryMask.full(32, 32), counter, label, cfg)
+        assert counter.batches == [1] + [cfg.swarm] * (res.iterations_used + 1) + [1]
+        assert sum(counter.batches) == images

@@ -23,7 +23,6 @@ from chrono_shield.cnn import (
     VersionUnsupported,
     _softmax,
     evaluate,
-    forward,
     grad_check,
     init_weights,
     load_weights,
@@ -113,7 +112,7 @@ class TestForward:
     def test_uniform_distribution_from_zero_weights(self):
         # All-zero tensors produce all-zero logits: every class gets
         # exactly 1/16 = 0.0625 and the tie resolves to label 0.
-        pred = forward(zero_weights(), flat_image(128, 32, 32))
+        pred = predict_batch(zero_weights(), [flat_image(128, 32, 32)])[0]
         assert pred.label == 0
         assert np.allclose(pred.distribution, 1.0 / 16.0)
         assert pred.confidence == 0.0625
@@ -125,7 +124,7 @@ class TestForward:
         b = np.zeros_like(w.fc_b)
         b[3] = 1.0
         w.fc_b = b
-        pred = forward(w, flat_image(128, 32, 32))
+        pred = predict_batch(w, [flat_image(128, 32, 32)])[0]
         want = math.e / (math.e + 15.0)
         assert pred.label == 3
         # float32 forward pass: agree with the exact value to ~1e-7.
@@ -133,30 +132,28 @@ class TestForward:
         assert round(pred.confidence, 4) == 0.1534
 
     def test_resizes_input_internally(self, rng):
-        pred = forward(init_weights(ModelConfig(), seed=0), random_image(rng, 64, 48))
+        pred = predict_batch(init_weights(ModelConfig(), seed=0), [random_image(rng, 64, 48)])[0]
         assert pred.distribution.shape == (16,)
 
     def test_grayscale_input_replicated(self, rng):
         w = init_weights(TINY, seed=0)
         gray = random_image(rng, 8, 8, channels=1)
         rgb = RasterImage(np.repeat(gray.pixels, 3, axis=2))
-        assert forward(w, gray) == forward(w, rgb)
+        assert predict_batch(w, [gray])[0] == predict_batch(w, [rgb])[0]
 
     def test_batch_matches_single(self, rng):
         w = init_weights(TINY, seed=2)
         imgs = [random_image(rng, 8, 8) for _ in range(4)]
         batch = predict_batch(w, imgs)
         for img, pred in zip(imgs, batch):
-            single = forward(w, img)
+            single = predict_batch(w, [img])[0]
             assert single.label == pred.label
             assert np.allclose(single.distribution, pred.distribution, atol=1e-6)
 
     def test_classifier_wrapper(self, rng):
         w = init_weights(TINY, seed=0)
-        clf = Classifier(w)
-        img = random_image(rng, 8, 8)
-        assert clf(img) == forward(w, img)
-        assert clf.predict_batch([img])[0] == forward(w, img)
+        a, b = random_image(rng, 8, 8), random_image(rng, 8, 8)
+        assert Classifier(w)([a, b]) == predict_batch(w, [a, b])
 
 
 class TestSoftmax:
@@ -311,4 +308,4 @@ class TestWeightFormat:
     def test_predictions_survive_round_trip(self, rng):
         w = init_weights(TINY, seed=6)
         img = random_image(rng, 8, 8)
-        assert forward(w, img) == forward(load_weights(save_weights(w)), img)
+        assert predict_batch(w, [img])[0] == predict_batch(load_weights(save_weights(w)), [img])[0]
