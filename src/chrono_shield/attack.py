@@ -224,10 +224,10 @@ def run_attack(
         raise DegenerateMask("mask has no true bits")
     if config.fitness not in ("true_prob", "margin"):
         raise InvalidConfig(f"unknown fitness {config.fitness!r}")
-    original = victim([img])[0]
     k = config.vertices
     if k < 3:
         raise InvalidConfig(f"polygon needs >= 3 vertices, got {k}")
+    original = victim([img])[0]
 
     best_flip: dict | None = None
 

@@ -29,12 +29,12 @@ from .cnn import (
     train,
 )
 from .codecs import load_image, save_image
-from .configfile import apply_overrides, parse_config_file
+from .configfile import UnknownConfigKey, apply_overrides, parse_config_file
 from .dataset import load_dataset, save_dataset
 from .defense import VotePolicy, defend, format_verdict
 from .fixture_server import HistoryFixtureServer
 from .harness import emit_report, run_full_sweep
-from .history import HistoryQuery, MatchPolicy, query_archive, query_remote
+from .history import HistoryQuery, MatchPolicy, RemoteHistoryClient, query_archive
 from .masks import BinaryMask, MaskParams, NoContourFound, generate_mask
 from .synth import CLASS_NAMES, SynthConfig, synth_dataset
 
@@ -94,15 +94,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configs(args):
-    """Stage configs from the config file, then the --seed override."""
+    """Stage configs from the config file, then the --seed override;
+    a key outside the stage namespaces raises UnknownConfigKey."""
     values = parse_config_file(args.config) if args.config else {}
-    scfg = apply_overrides(SynthConfig(), values, "synth")
-    tcfg = apply_overrides(TrainConfig(), values, "train")
-    mcfg = apply_overrides(ModelConfig(), values, "model")
-    acfg = apply_overrides(AttackConfig(), values, "attack")
-    vote = apply_overrides(VotePolicy(), values, "vote")
-    match = apply_overrides(MatchPolicy(), values, "match")
-    mask = apply_overrides(MaskParams(), values, "mask")
+    stages = {
+        "synth": SynthConfig(),
+        "train": TrainConfig(),
+        "model": ModelConfig(),
+        "attack": AttackConfig(),
+        "vote": VotePolicy(),
+        "match": MatchPolicy(),
+        "mask": MaskParams(),
+    }
+    for key in values:
+        if key.split(".", 1)[0] not in stages:
+            raise UnknownConfigKey(f"{key!r} is not under one of the namespaces {', '.join(stages)}")
+    scfg, tcfg, mcfg, acfg, vote, match, mask = (
+        apply_overrides(config, values, prefix) for prefix, config in stages.items()
+    )
     if args.seed is not None:
         scfg = dataclasses.replace(scfg, seed=args.seed)
         tcfg = dataclasses.replace(tcfg, seed=args.seed)
@@ -229,9 +238,8 @@ def _cmd_defend(args) -> int:
         before=before,
     )
     if args.history.startswith(("http://", "https://")):
-        records = query_remote(
-            args.history, query, cache_dir=os.path.join(args.out, "cache"), policy=match
-        )
+        client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)
+        records = client.query(query)
     else:
         records = query_archive(args.history, query, match)
     verdict = defend(img, records, weights, vote)

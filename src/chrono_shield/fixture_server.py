@@ -58,7 +58,7 @@ class _Handler(BaseHTTPRequestHandler):
             except (KeyError, ValueError) as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
-            entries = filter_entries(load_manifest(fixture.root).entries, query, fixture.policy)
+            entries = filter_entries(fixture.entries, query, fixture.policy)
             rows = [
                 {
                     "image_url": f"{fixture.url}/image/{e.path}",
@@ -89,10 +89,16 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class HistoryFixtureServer:
-    """Threaded archive server; use as a context manager in tests."""
+    """Threaded archive server; use as a context manager in tests.
+
+    manifest.json is read once, at start, before the socket is bound: a
+    missing or malformed archive raises ManifestMissing or
+    ManifestMalformed here, and later edits to the manifest are not seen.
+    """
 
     def __init__(self, root, host: str = "127.0.0.1", port: int = 0, policy: MatchPolicy = MatchPolicy()):
         self.root = str(root)
+        self.entries = load_manifest(self.root)
         self.policy = policy
         self.force_history_status: int | None = None
         self._counters = {"history": 0, "image": 0}

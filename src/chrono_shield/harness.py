@@ -35,7 +35,7 @@ from .cnn import (
 )
 from .dataset import LabeledImageSet
 from .defense import DefenseWarning, VotePolicy, defend
-from .history import HistoryQuery, MatchPolicy, query_archive
+from .history import HistoryQuery, MatchPolicy, load_manifest, query_archive
 from .masks import BinaryMask, NoContourFound, generate_mask
 from .raster import RasterImage
 from .synth import SynthConfig, make_history_archive, synth_dataset
@@ -43,10 +43,6 @@ from .synth import SynthConfig, make_history_archive, synth_dataset
 log = logging.getLogger(__name__)
 
 QUERY_DATE = date(2025, 1, 1)  # "now" for archive queries; history predates it
-
-
-class MissingArchive(FileNotFoundError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +226,7 @@ def run_defense_sweep(
     under. Produces the three comparison columns per row: undefended
     label, baseline model's label, and the voted label.
     """
-    if not os.path.isfile(os.path.join(str(archive_root), "manifest.json")):
-        raise MissingArchive(f"no manifest.json under {archive_root}")
+    load_manifest(archive_root)  # a missing archive fails before any row
     report = ExperimentReport(class_names=list(class_names or []))
     for row in attack_rows:
         if row.adversarial_image is None:

@@ -18,6 +18,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import date
+from urllib.parse import urlencode
 
 import requests
 
@@ -49,6 +50,14 @@ class InvalidRoute(ValueError):
     pass
 
 
+def _check_location(location: tuple[float, float]) -> None:
+    lat, lon = location
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon} outside [-180, 180]")
+
+
 @dataclass(frozen=True)
 class HistoricalRecord:
     image: RasterImage
@@ -58,11 +67,7 @@ class HistoricalRecord:
     source: str  # "archive" | "remote" | "manual"
 
     def __post_init__(self):
-        lat, lon = self.location
-        if not -90.0 <= lat <= 90.0:
-            raise ValueError(f"latitude {lat} outside [-90, 90]")
-        if not -180.0 <= lon <= 180.0:
-            raise ValueError(f"longitude {lon} outside [-180, 180]")
+        _check_location(self.location)
         if self.source not in ("archive", "remote", "manual"):
             raise ValueError(f"unknown record source {self.source!r}")
 
@@ -75,11 +80,7 @@ class HistoryQuery:
     before: date | None = None
 
     def __post_init__(self):
-        lat, lon = self.location
-        if not -90.0 <= lat <= 90.0:
-            raise ValueError(f"latitude {lat} outside [-90, 90]")
-        if not -180.0 <= lon <= 180.0:
-            raise ValueError(f"longitude {lon} outside [-180, 180]")
+        _check_location(self.location)
         if self.max_records < 1:
             raise ValueError("max_records must be >= 1")
 
@@ -97,12 +98,6 @@ class ManifestEntry:
     lat: float
     lon: float
     heading: float
-
-
-@dataclass(frozen=True)
-class ArchiveManifest:
-    entries: list[ManifestEntry]
-    version: int = 1
 
 
 def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -133,22 +128,20 @@ def _parse_entry(row, path_key: str) -> ManifestEntry:
         raise ManifestMalformed(f"bad manifest row {row!r}: {exc}") from exc
 
 
-def parse_manifest(text: str, path_key: str = "path") -> ArchiveManifest:
+def parse_manifest(text: str, path_key: str = "path") -> list[ManifestEntry]:
     """Accepts the bare-array form or {"version": N, "entries": [...]}."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestMalformed(f"manifest is not valid JSON: {exc}") from exc
-    version = 1
     if isinstance(doc, dict):
-        version = int(doc.get("version", 1))
         doc = doc.get("entries")
     if not isinstance(doc, list):
         raise ManifestMalformed("manifest must be a JSON array of records")
-    return ArchiveManifest(entries=[_parse_entry(row, path_key) for row in doc], version=version)
+    return [_parse_entry(row, path_key) for row in doc]
 
 
-def load_manifest(root) -> ArchiveManifest:
+def load_manifest(root) -> list[ManifestEntry]:
     path = os.path.join(root, "manifest.json")
     if not os.path.exists(path):
         raise ManifestMissing(f"no manifest.json under {root}")
@@ -175,6 +168,26 @@ def filter_entries(
     return kept[: query.max_records]
 
 
+def _records(entries: list[ManifestEntry], fetch, source: str) -> tuple[list[HistoricalRecord], int]:
+    """Records for the entries whose image fetch(entry.path) returns, in
+    entry order, and how many entries it returned None for."""
+    records = []
+    for e in entries:
+        img = fetch(e.path)
+        if img is None:
+            continue
+        records.append(
+            HistoricalRecord(
+                image=img,
+                capture_date=e.capture_date,
+                location=(e.lat, e.lon),
+                heading=e.heading,
+                source=source,
+            )
+        )
+    return records, len(entries) - len(records)
+
+
 def query_archive(
     root,
     query: HistoryQuery,
@@ -185,24 +198,16 @@ def query_archive(
     Entries whose image file is missing or unreadable are skipped with a
     logged note rather than failing the query.
     """
-    manifest = load_manifest(root)
-    records = []
-    for e in filter_entries(manifest.entries, query, policy):
-        full = os.path.join(root, e.path)
+
+    def load(path: str) -> RasterImage | None:
+        full = os.path.join(root, path)
         try:
-            img = codecs.load_image(full)
+            return codecs.load_image(full)
         except (OSError, ValueError) as exc:
             log.warning("skipping unreadable archive image %s: %s", full, exc)
-            continue
-        records.append(
-            HistoricalRecord(
-                image=img,
-                capture_date=e.capture_date,
-                location=(e.lat, e.lon),
-                heading=e.heading,
-                source="archive",
-            )
-        )
+            return None
+
+    records, _ = _records(filter_entries(load_manifest(root), query, policy), load, "archive")
     return records
 
 
@@ -226,13 +231,14 @@ def _atomic_write(path: str, data: bytes) -> None:
 class RemoteHistoryClient:
     """HTTP history client with an on-disk response cache.
 
-    Query responses are keyed by (lat/lon rounded to 5 decimals, 45-degree
-    heading bucket, date bound, record cap); images by their URL. Cache
-    files are written atomically and only after a fully successful fetch,
-    so a failed call never leaves partial cache state. Per-image fetch
-    failures are skipped and counted in last_failures ("what succeeded plus
-    a warning count"); last_network_requests says whether the previous
-    query touched the network at all.
+    Query responses are keyed by the exact query parameters sent, so a
+    cached answer is the one the server gave for that request; images are
+    keyed by their URL. Cache files are written atomically and only after
+    a fully successful fetch, so a failed call never leaves partial cache
+    state. Per-image fetch failures are skipped and counted in
+    last_failures ("what succeeded plus a warning count");
+    last_network_requests says whether the previous query touched the
+    network at all.
     """
 
     def __init__(self, endpoint: str, cache_dir=None, policy: MatchPolicy = MatchPolicy(), timeout: float = 10.0):
@@ -244,25 +250,11 @@ class RemoteHistoryClient:
         self.last_failures = 0
         self.last_network_requests = 0
 
-    # -- cache paths
-
-    def _query_key(self, query: HistoryQuery) -> str:
-        lat, lon = query.location
-        bucket = int(query.heading // 45.0) % 8
-        before = query.before.isoformat() if query.before else "-"
-        return f"lat={lat:.5f}&lon={lon:.5f}&hb={bucket}&before={before}&max={query.max_records}"
-
-    def _query_cache_path(self, query: HistoryQuery) -> str | None:
+    def _cache_path(self, kind: str, key: str, suffix: str) -> str | None:
         if not self.cache_dir:
             return None
-        digest = hashlib.sha1(self._query_key(query).encode()).hexdigest()
-        return os.path.join(self.cache_dir, "queries", digest + ".json")
-
-    def _image_cache_path(self, url: str) -> str | None:
-        if not self.cache_dir:
-            return None
-        digest = hashlib.sha1(url.encode()).hexdigest()
-        return os.path.join(self.cache_dir, "images", digest + ".png")
+        digest = hashlib.sha1(key.encode()).hexdigest()
+        return os.path.join(self.cache_dir, kind, digest + suffix)
 
     # -- network
 
@@ -274,10 +266,6 @@ class RemoteHistoryClient:
             raise NetworkUnreachable(f"GET {url} failed: {exc}") from exc
 
     def _fetch_manifest(self, query: HistoryQuery) -> list[ManifestEntry]:
-        cache_path = self._query_cache_path(query)
-        if cache_path and os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                return parse_manifest(fh.read(), path_key="image_url").entries
         lat, lon = query.location
         params = {
             "lat": f"{lat:.6f}",
@@ -287,13 +275,17 @@ class RemoteHistoryClient:
         }
         if query.before is not None:
             params["before"] = query.before.isoformat()
+        cache_path = self._cache_path("queries", urlencode(params), ".json")
+        if cache_path and os.path.exists(cache_path):
+            with open(cache_path, "r", encoding="utf-8") as fh:
+                return parse_manifest(fh.read(), path_key="image_url")
         resp = self._get(self.endpoint + "/history", params=params)
         if resp.status_code >= 500:
             raise NetworkUnreachable(f"history endpoint returned {resp.status_code}")
         if resp.status_code != 200:
             raise ProtocolError(f"history endpoint returned {resp.status_code}")
         try:
-            entries = parse_manifest(resp.text, path_key="image_url").entries
+            entries = parse_manifest(resp.text, path_key="image_url")
         except ManifestMalformed as exc:
             raise ProtocolError(str(exc)) from exc
         if cache_path:
@@ -301,7 +293,7 @@ class RemoteHistoryClient:
         return entries
 
     def _fetch_image(self, url: str) -> RasterImage | None:
-        cache_path = self._image_cache_path(url)
+        cache_path = self._cache_path("images", url, ".png")
         if cache_path and os.path.exists(cache_path):
             with open(cache_path, "rb") as fh:
                 data = fh.read()
@@ -324,36 +316,11 @@ class RemoteHistoryClient:
         skipped and tallied in last_failures."""
         self.last_failures = 0
         self.last_network_requests = 0
-        entries = self._fetch_manifest(query)
         # Re-apply the geometric filter so remote results obey the same
         # predicates as archive queries regardless of server behavior.
-        entries = filter_entries(entries, query, self.policy)
-        records = []
-        for e in entries:
-            img = self._fetch_image(e.path)
-            if img is None:
-                self.last_failures += 1
-                continue
-            records.append(
-                HistoricalRecord(
-                    image=img,
-                    capture_date=e.capture_date,
-                    location=(e.lat, e.lon),
-                    heading=e.heading,
-                    source="remote",
-                )
-            )
+        entries = filter_entries(self._fetch_manifest(query), query, self.policy)
+        records, self.last_failures = _records(entries, self._fetch_image, "remote")
         return records
-
-
-def query_remote(
-    endpoint: str,
-    query: HistoryQuery,
-    cache_dir=None,
-    policy: MatchPolicy = MatchPolicy(),
-) -> list[HistoricalRecord]:
-    """One-shot remote query; see RemoteHistoryClient for the cache rules."""
-    return RemoteHistoryClient(endpoint, cache_dir=cache_dir, policy=policy).query(query)
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,11 @@ class TestRunAttack:
     def test_invalid_fitness_and_vertices(self):
         img = flat_image(200, 16, 16)
         mask = BinaryMask.full(16, 16)
-        with pytest.raises(InvalidConfig):
-            run_attack(img, mask, MeanVictim(), 1, AttackConfig(fitness="nope"))
-        with pytest.raises(InvalidConfig):
-            run_attack(img, mask, MeanVictim(), 1, AttackConfig(vertices=2))
+        for cfg in (AttackConfig(fitness="nope"), AttackConfig(vertices=2)):
+            counter = CountingVictim(MeanVictim())
+            with pytest.raises(InvalidConfig):
+                run_attack(img, mask, counter, 1, cfg)
+            assert counter.batches == []  # rejected before any victim query
 
     def test_constant_victim_never_flips(self):
         img = flat_image(200, 16, 16)

@@ -18,16 +18,17 @@ from chrono_shield.configfile import (
     parse_config_text,
 )
 from chrono_shield.dataset import LabeledImageSet, load_dataset
+from chrono_shield.fixture_server import HistoryFixtureServer
 from chrono_shield.harness import (
     AttackRecord,
     DefenseRecord,
     ExperimentReport,
-    MissingArchive,
     emit_report,
     run_attack_sweep,
     run_defense_sweep,
     train_adversarial_baseline,
 )
+from chrono_shield.history import ManifestMissing
 from chrono_shield.synth import (
     CLASS_NAMES,
     PROBE_SHAPES,
@@ -337,7 +338,7 @@ class TestBaselineTraining:
 
 class TestDefenseSweep:
     def test_missing_archive(self, tmp_path):
-        with pytest.raises(MissingArchive):
+        with pytest.raises(ManifestMissing):
             run_defense_sweep(
                 zeroed(TINY_MODEL), [], tmp_path, coords=[], class_names=list(CLASS_NAMES)
             )
@@ -468,3 +469,29 @@ class TestCli:
         text = capsys.readouterr().out
         assert "verdict:" in text
         assert "current" in text
+
+    def test_defend_remote_history(self, cli_workspace, tmp_path, rng, capsys):
+        root, cfg, out = cli_workspace
+        archive = tmp_path / "archive"
+        coords = make_history_archive([0], archive, side=16, renders_per_sign=3, seed=3)
+        current = tmp_path / "current.png"
+        save_image(render_sign(0, 16, rng), str(current))
+        lat, lon, heading = coords[0]
+        dest = tmp_path / "d"
+        with HistoryFixtureServer(archive) as server:
+            rc = cli.main(
+                ["--config", str(cfg), "--out", str(dest), "defend",
+                 "--model", str(out / "weights.csw"), "--image", str(current),
+                 "--history", server.url, "--lat", str(lat), "--lon", str(lon),
+                 "--heading", str(heading), "--before", "2025-01-01"]
+            )
+        assert rc == 0
+        assert "verdict:" in capsys.readouterr().out
+        assert len(os.listdir(dest / "cache" / "queries")) == 1
+
+    @pytest.mark.parametrize("line", ["atack.swarm = 6", "seed = 3"])
+    def test_unknown_config_namespace_rejected(self, tmp_path, line):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(UnknownConfigKey):
+            cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "mask", str(tmp_path / "none.png")])

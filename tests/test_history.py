@@ -12,7 +12,6 @@ import requests
 
 from chrono_shield.fixture_server import HistoryFixtureServer
 from chrono_shield.history import (
-    ArchiveManifest,
     HistoricalRecord,
     HistoryQuery,
     InvalidRoute,
@@ -31,7 +30,6 @@ from chrono_shield.history import (
     parse_manifest,
     prefetch_route,
     query_archive,
-    query_remote,
 )
 from chrono_shield.synth import make_history_archive
 
@@ -101,19 +99,17 @@ GOOD_ROW = {"path": "a.png", "date": "2019-07-03", "lat": 40.0, "lon": -74.0, "h
 class TestManifest:
     def test_bare_array_form(self):
         m = parse_manifest(json.dumps([GOOD_ROW]))
-        assert m.version == 1
-        assert m.entries == [ManifestEntry("a.png", date(2019, 7, 3), 40.0, -74.0, 90.0)]
+        assert m == [ManifestEntry("a.png", date(2019, 7, 3), 40.0, -74.0, 90.0)]
 
     def test_versioned_dict_form(self):
         m = parse_manifest(json.dumps({"version": 2, "entries": [GOOD_ROW]}))
-        assert m.version == 2
-        assert len(m.entries) == 1
+        assert m == parse_manifest(json.dumps([GOOD_ROW]))
 
     def test_alternate_path_key(self):
         row = dict(GOOD_ROW)
         row["image_url"] = row.pop("path")
         m = parse_manifest(json.dumps([row]), path_key="image_url")
-        assert m.entries[0].path == "a.png"
+        assert m[0].path == "a.png"
 
     @pytest.mark.parametrize(
         "text",
@@ -349,11 +345,33 @@ class TestFixtureServer:
         with pytest.raises(NetworkUnreachable):
             client.query(q)
 
-    def test_query_remote_one_shot(self, archive, tmp_path):
-        root, coords = archive
+    def test_missing_archive_fails_at_start(self, tmp_path):
+        with pytest.raises(ManifestMissing):
+            HistoryFixtureServer(tmp_path)
+
+    def test_cache_keys_on_the_heading_sent(self, tmp_path):
+        # Sign 1 stands on sign 0's pole facing 150 degrees: a 100-degree
+        # query sees only sign 0 (sign 1 is 50 degrees off), a 120-degree
+        # query sees both. A warm cache must not answer the second query
+        # with the records fetched for the first.
+        root = tmp_path / "archive"
+        coords = make_history_archive([0, 1], root, side=16, renders_per_sign=3, seed=0)
+        lat, lon, _ = coords[0]
+        rows = json.loads((root / "manifest.json").read_text())
+        for row in rows:
+            if row["path"].startswith("sign0001"):
+                row.update(lat=lat, lon=lon, heading=150.0)
+        (root / "manifest.json").write_text(json.dumps(rows))
+
+        def answer(records):
+            return [(r.capture_date, r.location, r.heading, r.image) for r in records]
+
         with HistoryFixtureServer(root) as server:
-            records = query_remote(server.url, fresh_query(coords), cache_dir=tmp_path / "one")
-        assert len(records) == 3
+            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
+            for heading in (100.0, 120.0):
+                q = HistoryQuery(location=(lat, lon), heading=heading, before=date(2025, 1, 1))
+                assert answer(client.query(q)) == answer(query_archive(str(root), q))
+                assert client.last_network_requests > 0
 
 
 # ---------------------------------------------------------------------------
