@@ -101,6 +101,16 @@ def _polygon_pixels(verts: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> np
     return inside
 
 
+def _twice_area(vx: np.ndarray, vy: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
+    """Twice the shoelace area of polygon (vx, vy); (wx, wy) is it rolled by one vertex."""
+    return abs(np.dot(vx, wy) - np.dot(vy, wx))
+
+
+def _mask_bbox(bits: np.ndarray) -> tuple[int, int, int, int]:
+    ys, xs = np.nonzero(bits)
+    return int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
+
+
 def apply_shadow(img: RasterImage, mask: BinaryMask, shadow: ShadowSpec) -> RasterImage:
     """Darken (polygon intersect mask) pixels; everything else is untouched.
 
@@ -112,17 +122,14 @@ def apply_shadow(img: RasterImage, mask: BinaryMask, shadow: ShadowSpec) -> Rast
     bits = mask.bits
     if not bits.any():
         return img
-    ys, xs = np.nonzero(bits)
-    by0, by1 = int(ys.min()), int(ys.max())
-    bx0, bx1 = int(xs.min()), int(xs.max())
+    bx0, by0, bx1, by1 = _mask_bbox(bits)
     bw = bx1 - bx0 + 1
     bh = by1 - by0 + 1
     verts = np.empty_like(shadow.vertices)
     verts[:, 0] = bx0 + shadow.vertices[:, 0] * bw
     verts[:, 1] = by0 + shadow.vertices[:, 1] * bh
     vx, vy = verts[:, 0], verts[:, 1]
-    area2 = abs(np.dot(vx, np.roll(vy, -1)) - np.dot(vy, np.roll(vx, -1)))
-    if area2 < 1e-12:
+    if _twice_area(vx, vy, np.roll(vx, -1), np.roll(vy, -1)) < 1e-12:
         return img  # degenerate polygon: no-op
     # Work only inside the polygon's own bbox clipped to the mask bbox.
     wx0 = max(bx0, int(np.floor(vx.min())))
@@ -140,6 +147,45 @@ def apply_shadow(img: RasterImage, mask: BinaryMask, shadow: ShadowSpec) -> Rast
     shaded = np.rint(window[sel].astype(np.float64) * shadow.darkening)
     window[sel] = np.clip(shaded, 0, 255).astype(np.uint8)
     return RasterImage(out)
+
+
+def _shadow_batch(img: RasterImage, mask: BinaryMask, vertices: np.ndarray, darkening: float) -> np.ndarray:
+    """apply_shadow's pixels for n polygons at once, as uint8 (n, h, w, c).
+
+    vertices is (n, k, 2) in [0, 1]. Row i is byte-identical to
+    apply_shadow(img, mask, ShadowSpec(vertices[i], darkening)).pixels:
+    the membership test is evaluated over the whole mask bbox, where it is
+    false outside each polygon's own bbox, so the result is the same.
+    """
+    n = vertices.shape[0]
+    out = np.broadcast_to(img.pixels, (n, *img.pixels.shape)).copy()
+    bits = mask.bits
+    if not bits.any():
+        return out
+    bx0, by0, bx1, by1 = _mask_bbox(bits)
+    verts = np.empty_like(vertices, dtype=np.float64)
+    verts[..., 0] = bx0 + vertices[..., 0] * (bx1 - bx0 + 1)
+    verts[..., 1] = by0 + vertices[..., 1] * (by1 - by0 + 1)
+    vx, vy = verts[..., 0], verts[..., 1]  # (n, k), strided as in apply_shadow
+    wx = np.roll(vx, -1, axis=1)
+    wy = np.roll(vy, -1, axis=1)
+    px = np.arange(bx0, bx1 + 1, dtype=np.float64) + 0.5
+    py = (np.arange(by0, by1 + 1, dtype=np.float64) + 0.5)[None, :, None]
+    dy = np.where(vy == wy, 1.0, wy - vy)  # a horizontal edge never crosses; 1 avoids 0/0
+    sel = np.zeros((n, py.shape[1], px.size), dtype=bool)
+    for i in range(vx.shape[1]):
+        a, b = vy[:, i, None, None], wy[:, i, None, None]
+        crosses = (a <= py) != (b <= py)
+        t = (py - a) / dy[:, i, None, None]
+        xint = vx[:, i, None, None] + t * (wx[:, i, None, None] - vx[:, i, None, None])
+        sel ^= crosses & (px < xint)
+    area2 = np.array([_twice_area(vx[j], vy[j], wx[j], wy[j]) for j in range(n)])
+    sel[area2 < 1e-12] = False  # degenerate polygon: no-op
+    sel &= bits[by0 : by1 + 1, bx0 : bx1 + 1]
+    window = img.pixels[by0 : by1 + 1, bx0 : bx1 + 1]
+    shaded = np.clip(np.rint(window.astype(np.float64) * darkening), 0, 255).astype(np.uint8)
+    np.copyto(out[:, by0 : by1 + 1, bx0 : bx1 + 1], shaded, where=sel[..., None])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +273,8 @@ def run_attack(
     k = config.vertices
     if k < 3:
         raise InvalidConfig(f"polygon needs >= 3 vertices, got {k}")
+    if not 0.0 < config.darkening <= 1.0:
+        raise InvalidConfig(f"darkening must be in (0, 1], got {config.darkening}")
     original = victim([img])[0]
 
     best_flip: dict | None = None
@@ -240,10 +288,8 @@ def run_attack(
 
     def batch_objective(positions: np.ndarray) -> np.ndarray:
         nonlocal best_flip
-        specs = [
-            ShadowSpec(vertices=row.reshape(k, 2), darkening=config.darkening) for row in positions
-        ]
-        images = [apply_shadow(img, mask, spec) for spec in specs]
+        shaded = _shadow_batch(img, mask, positions.reshape(-1, k, 2), config.darkening)
+        images = [RasterImage(px) for px in shaded]
         preds = victim(images)
         fits = np.empty(len(preds), dtype=np.float64)
         for i, pred in enumerate(preds):
@@ -252,7 +298,7 @@ def run_attack(
                 best_flip = {
                     "fitness": fits[i],
                     "image": images[i],
-                    "shadow": specs[i],
+                    "shadow": ShadowSpec(vertices=positions[i].reshape(k, 2), darkening=config.darkening),
                 }
         return fits
 

@@ -159,14 +159,21 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return cols.reshape(n, c * 9, h * w)
 
 
+def _tap_slices(d: int, size: int) -> tuple[slice, slice]:
+    # Positions i with i + d in [0, size): (slice of i + d, slice of i).
+    return slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size - max(d, 0))
+
+
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
+    # Adjoint of _im2col: tap (dy, dx) read x[y+dy-1, x+dx-1]; taps that
+    # read the zero padding get no gradient.
     n, c, h, w = shape
     dc = dcols.reshape(n, c, 9, h, w)
-    dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+    dx = np.zeros(shape, dtype=dcols.dtype)
     for k in range(9):
-        dy, dx = divmod(k, 3)
-        dxp[:, :, dy : dy + h, dx : dx + w] += dc[:, :, k]
-    return dxp[:, :, 1 : 1 + h, 1 : 1 + w]
+        (oy, iy), (ox, ix) = _tap_slices(k // 3 - 1, h), _tap_slices(k % 3 - 1, w)
+        dx[:, :, oy, ox] += dc[:, :, k, iy, ix]
+    return dx
 
 
 def _conv_forward(x, w, b):
@@ -179,29 +186,35 @@ def _conv_forward(x, w, b):
 
 
 def _conv_backward(dout, cols, w, x_shape):
-    n, c, h, width = x_shape
+    """(dx, dw, db); dx is None when x_shape is None (no input gradient wanted)."""
     f = w.shape[0]
-    dflat = dout.reshape(n, f, h * width)
+    dflat = dout.reshape(dout.shape[0], f, -1)
     dw = np.einsum("nfp,ncp->fc", dflat, cols).reshape(w.shape)
     db = dout.sum(axis=(0, 2, 3))
-    dcols = w.reshape(f, c * 9).T @ dflat
+    if x_shape is None:
+        return None, dw, db
+    dcols = w.reshape(f, -1).T @ dflat
     return _col2im(dcols, x_shape), dw, db
 
 
 def _pool_forward(x):
-    n, c, h, w = x.shape
-    xr = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    windows = xr.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-    idx = windows.argmax(axis=-1)  # first max wins on ties
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+    """2x2 max-pool, stride 2, as the max of the four strided phases."""
+    return np.maximum(
+        np.maximum(x[..., 0::2, 0::2], x[..., 0::2, 1::2]),
+        np.maximum(x[..., 1::2, 0::2], x[..., 1::2, 1::2]),
+    )
 
 
-def _pool_backward(dout, idx, x_shape):
-    n, c, h, w = x_shape
-    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    return dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+def _pool_backward(dout, r, p):
+    """Route each pooled gradient to its window's max in r; on ties the
+    first phase in row-major window order wins, so exactly one input does."""
+    dr = np.zeros_like(r, dtype=dout.dtype)
+    taken = np.zeros(p.shape, dtype=bool)
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = (r[..., dy::2, dx::2] == p) & ~taken
+        np.copyto(dr[..., dy::2, dx::2], dout, where=hit)
+        taken |= hit
+    return dr
 
 
 def _net_forward(weights: ModelWeights, x: np.ndarray, want_cache: bool = False):
@@ -211,9 +224,9 @@ def _net_forward(weights: ModelWeights, x: np.ndarray, want_cache: bool = False)
         w, b = getattr(weights, wname), getattr(weights, bname)
         z, cols = _conv_forward(a, w, b)
         r = np.maximum(z, 0)
-        p, idx = _pool_forward(r)
+        p = _pool_forward(r)
         if want_cache:
-            caches.append((a.shape, cols, z, r.shape, idx))
+            caches.append((a.shape, cols, z, r, p))
         a = p
     n = a.shape[0]
     flat = a.reshape(n, -1)
@@ -236,11 +249,11 @@ def _net_backward(weights: ModelWeights, dlogits: np.ndarray, cache):
     grads["fc_b"] = dlogits.sum(axis=0)
     da = (dlogits @ weights.fc_w).reshape(pooled_shape)
     for layer in (3, 2, 1):
-        x_shape, cols, z, r_shape, idx = caches[layer - 1]
-        dr = _pool_backward(da, idx, r_shape)
-        dz = dr * (z > 0)
+        x_shape, cols, z, r, p = caches[layer - 1]
+        dz = _pool_backward(da, r, p) * (z > 0)
         w = getattr(weights, f"conv{layer}_w")
-        da, dw, db = _conv_backward(dz, cols, w, x_shape)
+        # Nothing reads the gradient of the input image, so conv1 skips it.
+        da, dw, db = _conv_backward(dz, cols, w, x_shape if layer > 1 else None)
         grads[f"conv{layer}_w"] = dw
         grads[f"conv{layer}_b"] = db
     return grads

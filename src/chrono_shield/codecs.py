@@ -17,6 +17,9 @@ from .raster import RasterImage
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
+# Largest width*height a PNG may declare; bounds the memory one decode inflates into.
+MAX_PNG_PIXELS = 4096 * 4096
+
 
 class MalformedFile(ValueError):
     """Byte stream does not parse as the declared format."""
@@ -204,13 +207,20 @@ def _decode_png(data: bytes) -> RasterImage:
         raise UnsupportedVariant("nonstandard PNG compression/filter method")
     if width < 1 or height < 1:
         raise MalformedFile("PNG dimensions must be positive")
+    if width * height > MAX_PNG_PIXELS:
+        raise UnsupportedVariant(f"PNG declares {width}x{height} pixels, over the {MAX_PNG_PIXELS} limit")
+    stride = width * channels
+    need = height * (stride + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        # One byte past what IHDR declares is enough to tell a surplus apart.
+        raw = inflater.decompress(bytes(idat), need + 1)
     except zlib.error as exc:
         raise MalformedFile(f"PNG IDAT does not inflate: {exc}") from exc
-    stride = width * channels
-    if len(raw) != height * (stride + 1):
+    if len(raw) != need:
         raise MalformedFile("PNG pixel data has wrong length")
+    if not inflater.eof:
+        raise MalformedFile("PNG IDAT does not inflate: incomplete or truncated stream")
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     out = np.zeros((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)

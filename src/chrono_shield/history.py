@@ -228,6 +228,12 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def _drop_corrupt(path: str, exc: Exception) -> None:
+    """A cache entry that does not parse is a miss: delete it so it is fetched again."""
+    log.warning("dropping corrupt cache entry %s: %s", path, exc)
+    os.remove(path)
+
+
 class RemoteHistoryClient:
     """HTTP history client with an on-disk response cache.
 
@@ -235,7 +241,8 @@ class RemoteHistoryClient:
     cached answer is the one the server gave for that request; images are
     keyed by their URL. Cache files are written atomically and only after
     a fully successful fetch, so a failed call never leaves partial cache
-    state. Per-image fetch failures are skipped and counted in
+    state, and an entry that no longer parses is deleted and fetched
+    again. Per-image fetch failures are skipped and counted in
     last_failures ("what succeeded plus a warning count");
     last_network_requests says whether the previous query touched the
     network at all.
@@ -277,8 +284,12 @@ class RemoteHistoryClient:
             params["before"] = query.before.isoformat()
         cache_path = self._cache_path("queries", urlencode(params), ".json")
         if cache_path and os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                return parse_manifest(fh.read(), path_key="image_url")
+            with open(cache_path, "rb") as fh:
+                data = fh.read()
+            try:
+                return parse_manifest(data.decode("utf-8"), path_key="image_url")
+            except (UnicodeDecodeError, ManifestMalformed) as exc:
+                _drop_corrupt(cache_path, exc)
         resp = self._get(self.endpoint + "/history", params=params)
         if resp.status_code >= 500:
             raise NetworkUnreachable(f"history endpoint returned {resp.status_code}")
@@ -297,7 +308,10 @@ class RemoteHistoryClient:
         if cache_path and os.path.exists(cache_path):
             with open(cache_path, "rb") as fh:
                 data = fh.read()
-            return codecs.decode_image(data, codecs.sniff_format(data))
+            try:
+                return codecs.decode_image(data, codecs.sniff_format(data))
+            except ValueError as exc:
+                _drop_corrupt(cache_path, exc)
         resp = self._get(url)
         if resp.status_code != 200:
             log.warning("image fetch %s returned %s", url, resp.status_code)

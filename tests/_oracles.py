@@ -144,3 +144,70 @@ def mk_pred(label: int, confidence: float, num_classes: int = 16) -> Prediction:
     dist = np.full(num_classes, (1.0 - confidence) / max(num_classes - 1, 1))
     dist[label] = confidence
     return Prediction(label=label, confidence=confidence, distribution=dist)
+
+
+def direct_conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 convolution, stride 1, zero padding 1, as explicit loops:
+    out[n,f,y,x] = b[f] + sum_{c,i,j} w[f,c,i,j] * x[n,c,y+i-1,x+j-1]."""
+    n, c, h, wd = x.shape
+    f = w.shape[0]
+    out = np.zeros((n, f, h, wd))
+    for ni in range(n):
+        for fi in range(f):
+            for y in range(h):
+                for xx in range(wd):
+                    acc = float(b[fi])
+                    for ci in range(c):
+                        for i in range(3):
+                            for j in range(3):
+                                sy, sx = y + i - 1, xx + j - 1
+                                if 0 <= sy < h and 0 <= sx < wd:
+                                    acc += float(w[fi, ci, i, j]) * float(x[ni, ci, sy, sx])
+                    out[ni, fi, y, xx] = acc
+    return out
+
+
+def direct_conv3x3_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
+    """(dx, dw, db) of direct_conv3x3 for upstream gradient dout, each
+    product scattered to the input pixel and weight that formed it."""
+    n, c, h, wd = x.shape
+    f = w.shape[0]
+    dx = np.zeros(x.shape)
+    dw = np.zeros(w.shape)
+    db = np.zeros(f)
+    for ni in range(n):
+        for fi in range(f):
+            for y in range(h):
+                for xx in range(wd):
+                    g = float(dout[ni, fi, y, xx])
+                    db[fi] += g
+                    for ci in range(c):
+                        for i in range(3):
+                            for j in range(3):
+                                sy, sx = y + i - 1, xx + j - 1
+                                if 0 <= sy < h and 0 <= sx < wd:
+                                    dw[fi, ci, i, j] += g * float(x[ni, ci, sy, sx])
+                                    dx[ni, ci, sy, sx] += g * float(w[fi, ci, i, j])
+    return dx, dw, db
+
+
+def first_max_pool2x2(x: np.ndarray, dout: np.ndarray):
+    """(out, dx) of a 2x2 stride-2 max-pool. Each window is scanned in
+    row-major order and only a strictly larger value replaces the running
+    max, so on ties the first maximum gets the whole gradient."""
+    n, c, h, wd = x.shape
+    out = np.zeros((n, c, h // 2, wd // 2))
+    dx = np.zeros(x.shape)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(h // 2):
+                for ox in range(wd // 2):
+                    best = (2 * oy, 2 * ox)
+                    for dy in range(2):
+                        for ddx in range(2):
+                            y, xx = 2 * oy + dy, 2 * ox + ddx
+                            if x[ni, ci, y, xx] > x[ni, ci, best[0], best[1]]:
+                                best = (y, xx)
+                    out[ni, ci, oy, ox] = x[ni, ci, best[0], best[1]]
+                    dx[ni, ci, best[0], best[1]] = dout[ni, ci, oy, ox]
+    return out, dx

@@ -11,6 +11,7 @@ from chrono_shield.attack import (
     InvalidConfig,
     PsoConfig,
     ShadowSpec,
+    _shadow_batch,
     apply_shadow,
     pso_minimize,
     run_attack,
@@ -168,6 +169,67 @@ class TestApplyShadow:
 
 
 # ---------------------------------------------------------------------------
+# _shadow_batch: byte-identical to apply_shadow, row by row
+
+# Coordinates on the bbox edges and on a coarse grid give horizontal edges,
+# vertices on 0 and 1, and exactly collinear or coincident vertices.
+coords = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def polygons(draw, k):
+    shape = draw(st.sampled_from(["free", "collinear", "point"]))
+    if shape == "free":
+        return [(draw(coords), draw(coords)) for _ in range(k)]
+    a = np.array([draw(coords), draw(coords)])
+    if shape == "point":
+        return [tuple(a)] * k
+    b = np.array([draw(coords), draw(coords)])
+    return [tuple(np.clip(a + draw(coords) * (b - a), 0.0, 1.0)) for _ in range(k)]
+
+
+@st.composite
+def shadow_batches(draw):
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        bits = np.zeros((h, w), dtype=bool)
+        bits[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    else:
+        bits = np.array(draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))).reshape(h, w)
+    k = draw(st.integers(3, 6))
+    verts = np.array(draw(st.lists(polygons(k), min_size=1, max_size=5)), dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = random_image(rng, w, h, channels=draw(st.sampled_from([1, 3])))
+    darkening = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return img, BinaryMask(bits), verts, darkening
+
+
+@given(shadow_batches())
+@settings(max_examples=300, deadline=None)
+def test_shadow_batch_rows_match_apply_shadow(case):
+    img, mask, verts, darkening = case
+    # Subnormal coordinates overflow the edge intersection to inf in both paths alike.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _shadow_batch(img, mask, verts, darkening)
+        wants = [apply_shadow(img, mask, ShadowSpec(vertices=v, darkening=darkening)) for v in verts]
+    assert out.shape == (len(verts), *img.pixels.shape) and out.dtype == np.uint8
+    for row, want in zip(out, wants):
+        assert np.array_equal(row, want.pixels)
+
+
+def test_shadow_batch_keeps_the_degenerate_area_rule():
+    # A sliver with doubled area ~3e-13, under apply_shadow's 1e-12 cutoff,
+    # still holds the pixel centres of row 6; both paths leave it undrawn.
+    img = flat_image(200, 12, 12)
+    mask = BinaryMask.full(12, 12)
+    c, e = 6.5 / 12, 1e-15
+    verts = np.array([[(0.0, c), (1.0, c + e), (1.0, c - e)]])
+    assert polygon_membership(verts[0] * 12, 12, 12)[6].all()
+    assert apply_shadow(img, mask, ShadowSpec(vertices=verts[0], darkening=0.5)) is img
+    assert np.array_equal(_shadow_batch(img, mask, verts, 0.5)[0], img.pixels)
+
+
+# ---------------------------------------------------------------------------
 # PSO
 
 
@@ -259,7 +321,12 @@ class TestRunAttack:
     def test_invalid_fitness_and_vertices(self):
         img = flat_image(200, 16, 16)
         mask = BinaryMask.full(16, 16)
-        for cfg in (AttackConfig(fitness="nope"), AttackConfig(vertices=2)):
+        for cfg in (
+            AttackConfig(fitness="nope"),
+            AttackConfig(vertices=2),
+            AttackConfig(darkening=0.0),
+            AttackConfig(darkening=1.5),
+        ):
             counter = CountingVictim(MeanVictim())
             with pytest.raises(InvalidConfig):
                 run_attack(img, mask, counter, 1, cfg)

@@ -33,6 +33,7 @@ from chrono_shield.cnn import (
 from chrono_shield.dataset import LabeledImageSet
 from chrono_shield.raster import RasterImage
 
+from _oracles import direct_conv3x3, direct_conv3x3_backward, first_max_pool2x2
 from conftest import flat_image, random_image
 
 TINY = ModelConfig(input_side=8, channels=(4, 8, 8), num_classes=2)
@@ -154,6 +155,49 @@ class TestForward:
         w = init_weights(TINY, seed=0)
         a, b = random_image(rng, 8, 8), random_image(rng, 8, 8)
         assert Classifier(w)([a, b]) == predict_batch(w, [a, b])
+
+
+# ---------------------------------------------------------------------------
+# Kernels against direct loops. Small integer inputs keep every sum exact,
+# so the comparisons are equality, and values drawn from {0, 1, 2} force
+# ties inside most pooling windows.
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestKernels:
+    def test_conv_forward(self, rng, dtype):
+        x = rng.integers(-2, 3, size=(2, 3, 4, 6)).astype(dtype)
+        w = rng.integers(-2, 3, size=(4, 3, 3, 3)).astype(dtype)
+        b = rng.integers(-2, 3, size=4).astype(dtype)
+        z, _ = cnn_module._conv_forward(x, w, b)
+        assert np.array_equal(z, direct_conv3x3(x, w, b))
+
+    def test_conv_backward(self, rng, dtype):
+        x = rng.integers(-2, 3, size=(2, 3, 4, 6)).astype(dtype)
+        w = rng.integers(-2, 3, size=(4, 3, 3, 3)).astype(dtype)
+        dout = rng.integers(-3, 4, size=(2, 4, 4, 6)).astype(dtype)
+        _, cols = cnn_module._conv_forward(x, w, np.zeros(4, dtype=dtype))
+        want_dx, want_dw, want_db = direct_conv3x3_backward(x, w, dout)
+        dx, dw, db = cnn_module._conv_backward(dout, cols, w, x.shape)
+        assert np.array_equal(dx, want_dx)
+        assert np.array_equal(dw, want_dw)
+        assert np.array_equal(db, want_db)
+        # Without an input shape the input gradient is skipped, nothing else changes.
+        no_dx, dw2, db2 = cnn_module._conv_backward(dout, cols, w, None)
+        assert no_dx is None and np.array_equal(dw2, dw) and np.array_equal(db2, db)
+
+    def test_pool_first_max_wins(self, rng, dtype):
+        x = rng.integers(0, 3, size=(2, 3, 6, 8)).astype(dtype)
+        dout = rng.integers(1, 10, size=(2, 3, 3, 4)).astype(dtype)
+        want_out, want_dx = first_max_pool2x2(x, dout)
+        out = cnn_module._pool_forward(x)
+        assert out.dtype == dtype and np.array_equal(out, want_out)
+        assert np.array_equal(cnn_module._pool_backward(dout, x, out), want_dx)
+
+    def test_pool_all_tied_window_routes_to_top_left(self, dtype):
+        x = np.ones((1, 1, 2, 2), dtype=dtype)
+        dx = cnn_module._pool_backward(np.full((1, 1, 1, 1), 5, dtype=dtype), x, cnn_module._pool_forward(x))
+        assert dx[0, 0].tolist() == [[5, 0], [0, 0]]
 
 
 class TestSoftmax:

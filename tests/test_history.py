@@ -269,6 +269,34 @@ class TestFixtureServer:
         for a, b in zip(first, second):
             assert np.array_equal(a.image.pixels, b.image.pixels)
 
+    @pytest.mark.parametrize(
+        "kind, garble",
+        [
+            ("images", lambda data: data[: len(data) // 2]),
+            ("queries", lambda data: data[: len(data) // 2]),
+            ("queries", lambda data: b"\xff\xfe" + data),
+        ],
+        ids=["truncated_png", "truncated_json", "not_utf8"],
+    )
+    def test_corrupt_cache_entry_is_a_miss(self, archive, tmp_path, kind, garble):
+        root, coords = archive
+        cache = tmp_path / "cache"
+        with HistoryFixtureServer(root) as server:
+            RemoteHistoryClient(server.url, cache_dir=cache).query(fresh_query(coords))
+            entry = sorted((cache / kind).iterdir())[0]
+            good = entry.read_bytes()
+            entry.write_bytes(garble(good))
+            client = RemoteHistoryClient(server.url, cache_dir=cache)
+            got = client.query(fresh_query(coords))
+        assert client.last_network_requests == 1  # only the corrupt entry is fetched again
+        assert entry.read_bytes() == good
+        want = query_archive(root, fresh_query(coords))
+        assert [(r.capture_date, r.location, r.heading) for r in got] == [
+            (r.capture_date, r.location, r.heading) for r in want
+        ]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.image.pixels, w.image.pixels)
+
     def test_forced_500_is_network_unreachable_and_uncached(self, archive, tmp_path):
         root, coords = archive
         cache = tmp_path / "cache500"

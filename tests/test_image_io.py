@@ -1,6 +1,7 @@
 """Raster transforms and the PPM/PGM/PNG codecs."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chrono_shield.codecs import (
+    MAX_PNG_PIXELS,
     PNG_SIGNATURE,
     MalformedFile,
     UnsupportedVariant,
@@ -323,6 +325,39 @@ class TestPng:
         # Strip the IEND chunk (12 bytes: length + tag + crc).
         with pytest.raises(MalformedFile):
             decode_image(full[:-12], "png")
+
+    def test_inflate_bounded_by_ihdr(self):
+        # An 8x8 RGB IHDR declares 200 bytes of scanlines; the IDAT inflates
+        # to 64 MiB of zeros. Decoding must stop one byte past the 200.
+        deflate = zlib.compressobj(9)
+        block = bytes(1 << 20)
+        idat = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+        ihdr = struct.pack(">IIBBBBB", 8, 8, 8, 2, 0, 0, 0)
+        data = PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", idat) + _png_chunk(b"IEND", b"")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedFile):
+                decode_image(data, "png")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_declared_size_capped_before_inflate(self):
+        side = int(MAX_PNG_PIXELS**0.5) + 1
+        ihdr = struct.pack(">IIBBBBB", side, side, 8, 0, 0, 0, 0)
+        data = PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", b"") + _png_chunk(b"IEND", b"")
+        with pytest.raises(UnsupportedVariant, match="limit"):
+            decode_image(data, "png")
+
+    def test_truncated_deflate_stream(self):
+        # Every scanline byte is present but the stream's checksum is not.
+        lines = bytes([0]) + bytes(6)
+        ihdr = struct.pack(">IIBBBBB", 2, 1, 8, 2, 0, 0, 0)
+        idat = zlib.compress(lines)[:-4]
+        data = PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", idat) + _png_chunk(b"IEND", b"")
+        with pytest.raises(MalformedFile):
+            decode_image(data, "png")
 
 
 # ---------------------------------------------------------------------------
