@@ -13,6 +13,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import LabeledImageSet
 from .raster import RasterImage, resize_bilinear
@@ -152,11 +153,9 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     # x (N, C, H, W) -> (N, C*9, H*W) for a 3x3 kernel, stride 1, pad 1.
     n, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
-    for k in range(9):
-        dy, dx = divmod(k, 3)
-        cols[:, :, k] = xp[:, :, dy : dy + h, dx : dx + w]
-    return cols.reshape(n, c * 9, h * w)
+    # windows[n, c, y, x, dy, dx] = xp[n, c, y + dy, x + dx], copied once in (n, c, dy, dx, y, x) order.
+    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * 9, h * w)
 
 
 def _tap_slices(d: int, size: int) -> tuple[slice, slice]:
@@ -181,7 +180,8 @@ def _conv_forward(x, w, b):
     f = w.shape[0]
     cols = _im2col(x)
     w2 = w.reshape(f, c * 9)
-    out = (w2 @ cols).reshape(n, f, h, width) + b[None, :, None, None]
+    out = (w2 @ cols).reshape(n, f, h, width)
+    out += b[None, :, None, None]
     return out, cols
 
 
@@ -223,10 +223,10 @@ def _net_forward(weights: ModelWeights, x: np.ndarray, want_cache: bool = False)
     for wname, bname in (("conv1_w", "conv1_b"), ("conv2_w", "conv2_b"), ("conv3_w", "conv3_b")):
         w, b = getattr(weights, wname), getattr(weights, bname)
         z, cols = _conv_forward(a, w, b)
-        r = np.maximum(z, 0)
+        r = np.maximum(z, 0, out=z)
         p = _pool_forward(r)
         if want_cache:
-            caches.append((a.shape, cols, z, r, p))
+            caches.append((a.shape, cols, r, p))
         a = p
     n = a.shape[0]
     flat = a.reshape(n, -1)
@@ -249,8 +249,9 @@ def _net_backward(weights: ModelWeights, dlogits: np.ndarray, cache):
     grads["fc_b"] = dlogits.sum(axis=0)
     da = (dlogits @ weights.fc_w).reshape(pooled_shape)
     for layer in (3, 2, 1):
-        x_shape, cols, z, r, p = caches[layer - 1]
-        dz = _pool_backward(da, r, p) * (z > 0)
+        x_shape, cols, r, p = caches[layer - 1]
+        # r = max(z, 0), so r > 0 exactly where z > 0.
+        dz = _pool_backward(da, r, p) * (r > 0)
         w = getattr(weights, f"conv{layer}_w")
         # Nothing reads the gradient of the input image, so conv1 skips it.
         da, dw, db = _conv_backward(dz, cols, w, x_shape if layer > 1 else None)
@@ -260,20 +261,27 @@ def _net_backward(weights: ModelWeights, dlogits: np.ndarray, cache):
 
 
 def _prep_images(images, side: int, dtype=np.float32) -> np.ndarray:
-    """Stack RasterImages into (N, 3, side, side) scaled to [0, 1]."""
-    batch = np.empty((len(images), 3, side, side), dtype=dtype)
+    """Stack RasterImages into (N, 3, side, side) scaled to [0, 1].
+
+    Frames of one pixel shape are resized as one stack; gray frames fill
+    all three channels.
+    """
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for i, img in enumerate(images):
-        if img.width != side or img.height != side:
-            img = resize_bilinear(img, side, side)
-        px = img.pixels
-        if px.shape[2] == 1:
-            px = np.repeat(px, 3, axis=2)
-        batch[i] = px.transpose(2, 0, 1).astype(dtype) / 255.0
+        groups.setdefault(img.pixels.shape, []).append(i)
+    batch = np.empty((len(images), 3, side, side), dtype=dtype)
+    for (h, w, _), rows in groups.items():
+        px = np.stack([images[i].pixels for i in rows])
+        if (h, w) != (side, side):
+            px = resize_bilinear(px, side, side)
+        batch[rows] = px.transpose(0, 3, 1, 2).astype(dtype) / 255.0
     return batch
 
 
 def predict_batch(weights: ModelWeights, images: list[RasterImage]) -> list[Prediction]:
     """Classify RGB or gray frames (resized internally to the model's input side)."""
+    if not images:
+        return []
     x = _prep_images(images, weights.input_side, dtype=weights.conv1_w.dtype)
     probs = _softmax(_net_forward(weights, x))
     if not np.isfinite(probs).all():

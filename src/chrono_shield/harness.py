@@ -35,7 +35,7 @@ from .cnn import (
 )
 from .dataset import LabeledImageSet
 from .defense import DefenseWarning, VotePolicy, defend
-from .history import HistoryQuery, MatchPolicy, load_manifest, query_archive
+from .history import HistoryQuery, MatchPolicy, _archive_records, load_manifest
 from .masks import BinaryMask, NoContourFound, generate_mask
 from .raster import RasterImage
 from .synth import SynthConfig, make_history_archive, synth_dataset
@@ -226,7 +226,7 @@ def run_defense_sweep(
     under. Produces the three comparison columns per row: undefended
     label, baseline model's label, and the voted label.
     """
-    load_manifest(archive_root)  # a missing archive fails before any row
+    entries = load_manifest(archive_root)  # read once; a missing archive fails before any row
     report = ExperimentReport(class_names=list(class_names or []))
     for row in attack_rows:
         if row.adversarial_image is None:
@@ -238,7 +238,7 @@ def run_defense_sweep(
             max_records=policy.min_history,
             before=QUERY_DATE,
         )
-        records = query_archive(archive_root, query, match)
+        records = _archive_records(archive_root, entries, query, match)
         verdict = defend(row.adversarial_image, records, weights, policy)
         voters = tuple(
             VoterRow(
@@ -513,13 +513,17 @@ def run_full_sweep(
     report = run_attack_sweep(weights, ds, acfg, max_images=max_images)
     attack_seconds = time.monotonic() - t0
 
+    t0 = time.monotonic()
     archive_root = os.path.join(str(out_dir), "archive")
     labels = [label for _, label in ds.split("test")]
     coords = make_history_archive(
         labels, archive_root, side=scfg.side, renders_per_sign=vote_policy.min_history, seed=seed + 1
     )
+    archive_seconds = time.monotonic() - t0
 
+    t0 = time.monotonic()
     baseline = train_adversarial_baseline(ds, acfg, tcfg, mcfg, augment_seed=seed + 17)
+    baseline_seconds = time.monotonic() - t0
 
     t0 = time.monotonic()
     defense = run_defense_sweep(
@@ -539,6 +543,8 @@ def run_full_sweep(
         "clean_test_accuracy": round(accuracy, 6),
         "train_seconds": round(train_seconds, 3),
         "attack_seconds": round(attack_seconds, 3),
+        "archive_seconds": round(archive_seconds, 3),
+        "baseline_seconds": round(baseline_seconds, 3),
         "defense_seconds": round(defense_seconds, 3),
     }
 

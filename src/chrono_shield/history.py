@@ -198,6 +198,13 @@ def query_archive(
     Entries whose image file is missing or unreadable are skipped with a
     logged note rather than failing the query.
     """
+    return _archive_records(root, load_manifest(root), query, policy)
+
+
+def _archive_records(
+    root, entries: list[ManifestEntry], query: HistoryQuery, policy: MatchPolicy
+) -> list[HistoricalRecord]:
+    """query_archive against entries already loaded from root's manifest."""
 
     def load(path: str) -> RasterImage | None:
         full = os.path.join(root, path)
@@ -207,7 +214,7 @@ def query_archive(
             log.warning("skipping unreadable archive image %s: %s", full, exc)
             return None
 
-    records, _ = _records(filter_entries(load_manifest(root), query, policy), load, "archive")
+    records, _ = _records(filter_entries(entries, query, policy), load, "archive")
     return records
 
 

@@ -112,14 +112,20 @@ def gaussian_blur(img: RasterImage, sigma: float = 1.4, radius: int = 2) -> Rast
     return RasterImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
 
 
-def resize_bilinear(img: RasterImage, out_w: int, out_h: int) -> RasterImage:
-    """Bilinear resample with half-pixel-center mapping. Identity at same size."""
+def resize_bilinear(img: RasterImage | np.ndarray, out_w: int, out_h: int) -> RasterImage | np.ndarray:
+    """Bilinear resample with half-pixel-center mapping. Identity at same size.
+
+    img is a RasterImage, or a uint8 stack of frames shaped (..., h, w, c)
+    that share one size; the result has the same type as img.
+    """
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be positive")
-    if out_w == img.width and out_h == img.height:
+    px = img.pixels if isinstance(img, RasterImage) else img
+    if px.dtype != np.uint8 or px.ndim < 3:
+        raise ValueError(f"expected uint8 (..., h, w, c) pixels, got {px.dtype} {px.shape}")
+    h, w = px.shape[-3], px.shape[-2]
+    if out_w == w and out_h == h:
         return img
-    src = img.pixels.astype(np.float64)
-    h, w = img.height, img.width
     # Half-pixel centers: dst center (i+0.5) maps to src coordinate space.
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
@@ -129,9 +135,22 @@ def resize_bilinear(img: RasterImage, out_w: int, out_h: int) -> RasterImage:
     y0 = np.floor(sy).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (sx - x0)[None, :, None]
+    # fx repeated per channel keeps the ufunc inner loops out_w*c long.
+    fx = np.repeat(sx - x0, px.shape[-1]).reshape(out_w, -1)
     fy = (sy - y0)[:, None, None]
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
-    out = top * (1 - fy) + bot * fy
-    return RasterImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
+
+    def blend(ys):
+        # a * (1 - fx) + b * fx along the source rows ys. The corners are
+        # gathered as uint8 and widened after, which gives the values a
+        # float64 gather would; the in-place steps round alike.
+        rows = px.take(ys, axis=-3)
+        row = rows.take(x0, axis=-2).astype(np.float64)
+        row *= 1 - fx
+        row += rows.take(x1, axis=-2) * fx
+        return row
+
+    out = blend(y0)
+    out *= 1 - fy
+    out += blend(y1) * fy
+    out = np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
+    return RasterImage(out) if isinstance(img, RasterImage) else out

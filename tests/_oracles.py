@@ -35,25 +35,34 @@ def dense_gaussian_blur(plane: np.ndarray, sigma: float, radius: int) -> np.ndar
     return out
 
 
-def bilinear_reference(px: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Scalar-loop bilinear resample, half-pixel centers, edge clamped."""
+def direct_bilinear(px: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinear resample one pixel and channel at a time in Python floats.
+
+    Source coordinate of output index i is (i + 0.5) * (size / out_size)
+    - 0.5, the scale factor rounded once as the package rounds it, clamped
+    to the frame; the four corners blend along x, then y, and the result
+    rounds half to even. Scaling as (i + 0.5) * size / out_size instead
+    can land an ulp away and flip a .5 rounding (h 16 -> 5, row 3).
+    """
     h, w, c = px.shape
-    out = np.zeros((out_h, out_w, c), dtype=np.float64)
+    out = np.zeros((out_h, out_w, c), dtype=np.uint8)
     for oy in range(out_h):
-        sy = min(max((oy + 0.5) * h / out_h - 0.5, 0.0), h - 1.0)
-        y0 = int(math.floor(sy))
+        sy = min(max((oy + 0.5) * (h / out_h) - 0.5, 0.0), h - 1.0)
+        y0 = math.floor(sy)
         y1 = min(y0 + 1, h - 1)
         fy = sy - y0
         for ox in range(out_w):
-            sx = min(max((ox + 0.5) * w / out_w - 0.5, 0.0), w - 1.0)
-            x0 = int(math.floor(sx))
+            sx = min(max((ox + 0.5) * (w / out_w) - 0.5, 0.0), w - 1.0)
+            x0 = math.floor(sx)
             x1 = min(x0 + 1, w - 1)
             fx = sx - x0
             for ch in range(c):
-                top = px[y0, x0, ch] * (1 - fx) + px[y0, x1, ch] * fx
-                bot = px[y1, x0, ch] * (1 - fx) + px[y1, x1, ch] * fx
-                out[oy, ox, ch] = top * (1 - fy) + bot * fy
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+                a, b = float(px[y0, x0, ch]), float(px[y0, x1, ch])
+                d, e = float(px[y1, x0, ch]), float(px[y1, x1, ch])
+                top = a * (1 - fx) + b * fx
+                bot = d * (1 - fx) + e * fx
+                out[oy, ox, ch] = min(max(round(top * (1 - fy) + bot * fy), 0), 255)
+    return out
 
 
 def polygon_membership(verts: np.ndarray, width: int, height: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from chrono_shield.cnn import (
 from chrono_shield.dataset import LabeledImageSet
 from chrono_shield.raster import RasterImage
 
-from _oracles import direct_conv3x3, direct_conv3x3_backward, first_max_pool2x2
+from _oracles import direct_bilinear, direct_conv3x3, direct_conv3x3_backward, first_max_pool2x2
 from conftest import flat_image, random_image
 
 TINY = ModelConfig(input_side=8, channels=(4, 8, 8), num_classes=2)
@@ -155,6 +155,23 @@ class TestForward:
         w = init_weights(TINY, seed=0)
         a, b = random_image(rng, 8, 8), random_image(rng, 8, 8)
         assert Classifier(w)([a, b]) == predict_batch(w, [a, b])
+
+    def test_empty_batch(self):
+        assert predict_batch(init_weights(TINY, seed=0), []) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prep_mixed_shapes_keeps_input_order(self, rng, dtype):
+        # 64 px RGB frames are resized as one stack, 32 px pass through,
+        # gray and odd-sized frames form their own groups.
+        shapes = [(64, 64, 3), (32, 32, 3), (64, 64, 3), (64, 64, 1), (37, 53, 3), (64, 64, 3), (32, 32, 3)]
+        imgs = [random_image(rng, w, h, channels=c) for h, w, c in shapes]
+        batch = cnn_module._prep_images(imgs, 32, dtype=dtype)
+        assert batch.shape == (len(imgs), 3, 32, 32) and batch.dtype == dtype
+        for img, row in zip(imgs, batch):
+            px = direct_bilinear(img.pixels, 32, 32)
+            want = np.broadcast_to(px.transpose(2, 0, 1), (3, 32, 32)).astype(dtype) / 255.0
+            assert np.array_equal(row, want)
+            assert np.array_equal(row, cnn_module._prep_images([img], 32, dtype=dtype)[0])
 
 
 # ---------------------------------------------------------------------------

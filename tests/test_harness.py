@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from chrono_shield import cli
+from chrono_shield import cli, harness, history
 from chrono_shield.attack import AttackConfig, InvalidConfig
 from chrono_shield.cnn import ModelConfig, ModelWeights, TrainConfig, init_weights, train
 from chrono_shield.codecs import load_image, save_image
@@ -23,12 +23,14 @@ from chrono_shield.harness import (
     AttackRecord,
     DefenseRecord,
     ExperimentReport,
+    QUERY_DATE,
     emit_report,
     run_attack_sweep,
     run_defense_sweep,
+    run_full_sweep,
     train_adversarial_baseline,
 )
-from chrono_shield.history import ManifestMissing
+from chrono_shield.history import HistoryQuery, ManifestMissing, query_archive
 from chrono_shield.synth import (
     CLASS_NAMES,
     PROBE_SHAPES,
@@ -371,6 +373,50 @@ class TestDefenseSweep:
         # Zero weights vote class 0 everywhere: wiring, not accuracy.
         assert row.voted_label == 0 and not row.defense_ok
         assert row.baseline_label == 0 and row.baseline_ok is False
+
+    def test_manifest_read_once_per_sweep(self, tmp_path, rng, monkeypatch):
+        labels = [5, 2, 9]
+        coords = make_history_archive(labels, tmp_path, side=32, renders_per_sign=3, seed=2)
+        rows = [
+            attack_row(i, success=True, true_label=label, clean_label=label,
+                       adversarial_image=render_sign(label, 32, rng))
+            for i, label in enumerate(labels)
+        ]
+        loads, seen = [], []
+        real_load, real_defend = history.load_manifest, harness.defend
+
+        def counting_load(root):
+            loads.append(root)
+            return real_load(root)
+
+        def spy_defend(image, records, weights, policy):
+            seen.append(records)
+            return real_defend(image, records, weights, policy)
+
+        monkeypatch.setattr(history, "load_manifest", counting_load)
+        monkeypatch.setattr(harness, "load_manifest", counting_load)
+        monkeypatch.setattr(harness, "defend", spy_defend)
+        report = run_defense_sweep(
+            zeroed(TINY_MODEL), rows, tmp_path, coords=coords, class_names=list(CLASS_NAMES)
+        )
+        assert len(report.defense_rows) == len(labels)
+        assert len(loads) == 1
+        for (lat, lon, heading), records in zip(coords, seen):
+            query = HistoryQuery(location=(lat, lon), heading=heading, max_records=3, before=QUERY_DATE)
+            assert len(records) == 3
+            assert records == query_archive(tmp_path, query)
+
+
+def test_full_sweep_times_every_stage(tmp_path):
+    synth = SynthConfig(per_class=1, test_per_class=1, side=16, seed=0)
+    run_full_sweep(
+        tmp_path, seed=0, synth_config=synth, train_config=TrainConfig(epochs=1, seed=0),
+        model_config=TINY_MODEL, attack_config=AttackConfig(swarm=2, iterations=1, seed=0),
+        max_images=1,
+    )
+    meta = json.loads((tmp_path / "report.json").read_text())["meta"]
+    stages = ("train", "attack", "archive", "baseline", "defense")
+    assert all(meta[f"{stage}_seconds"] >= 0.0 for stage in stages)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from chrono_shield.raster import (
     to_grayscale,
 )
 
-from _oracles import bilinear_reference, dense_gaussian_blur, png_forward_filter
+from _oracles import dense_gaussian_blur, direct_bilinear, png_forward_filter
 from conftest import flat_image, random_image
 
 
@@ -145,13 +145,13 @@ class TestResize:
     def test_matches_scalar_reference(self, rng):
         img = random_image(rng, 5, 7)
         got = resize_bilinear(img, 11, 4)
-        want = bilinear_reference(img.pixels.astype(np.float64), 11, 4)
+        want = direct_bilinear(img.pixels, 11, 4)
         assert np.array_equal(got.pixels, want)
 
     def test_downscale_matches_scalar_reference(self, rng):
         img = random_image(rng, 16, 16)
         got = resize_bilinear(img, 8, 8)
-        want = bilinear_reference(img.pixels.astype(np.float64), 8, 8)
+        want = direct_bilinear(img.pixels, 8, 8)
         assert np.array_equal(got.pixels, want)
 
     def test_constant_image_stays_constant(self):
@@ -162,6 +162,31 @@ class TestResize:
     def test_rejects_bad_dims(self, rng):
         with pytest.raises(ValueError):
             resize_bilinear(random_image(rng, 4, 4), 0, 4)
+
+    def test_stack_identity_at_same_size(self, rng):
+        stack = rng.integers(0, 256, size=(2, 4, 6, 3), dtype=np.uint8)
+        assert resize_bilinear(stack, 6, 4) is stack
+
+    def test_stack_rejects_non_uint8(self):
+        with pytest.raises(ValueError):
+            resize_bilinear(np.zeros((2, 4, 4, 3)), 8, 8)
+
+    @given(
+        n=st.integers(1, 5),
+        h=st.integers(1, 70),
+        w=st.integers(1, 70),
+        out_h=st.integers(1, 70),
+        out_w=st.integers(1, 70),
+        c=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_per_frame_and_reference(self, n, h, w, out_h, out_w, c, seed):
+        stack = np.random.default_rng(seed).integers(0, 256, size=(n, h, w, c), dtype=np.uint8)
+        got = resize_bilinear(stack, out_w, out_h)
+        assert got.shape == (n, out_h, out_w, c) and got.dtype == np.uint8
+        for frame, row in zip(stack, got):
+            assert np.array_equal(row, resize_bilinear(RasterImage(frame), out_w, out_h).pixels)
+            assert np.array_equal(row, direct_bilinear(frame, out_w, out_h))
 
 
 # ---------------------------------------------------------------------------
