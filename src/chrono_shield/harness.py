@@ -4,8 +4,10 @@ The sweep protocol: train on the synthetic corpus, attack every correctly
 classified test image, then defend each attacked frame with archived
 history and majority voting. Rows are accumulated into an
 ExperimentReport whose aggregates are always recomputed from the rows,
-never cached. Per-image attack rows are independent of each other; they
-run serially here but nothing in a row depends on its neighbours.
+never cached. Per-image attack rows are independent of each other, and
+so are the clean and the baseline trainings: each pair runs through
+parallel.map_in_order, on both cores where there are two, and comes back
+in the order a serial run would give.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .dataset import LabeledImageSet
 from .defense import DefenseWarning, VotePolicy, defend
 from .history import HistoryQuery, MatchPolicy, _archive_records, load_manifest
 from .masks import BinaryMask, NoContourFound, generate_mask
+from .parallel import map_in_order
 from .raster import RasterImage
 from .synth import SynthConfig, make_history_archive, synth_dataset
 
@@ -131,18 +135,23 @@ def run_attack_sweep(
     Masks come from the edge/contour pipeline; images where no contour
     survives fall back to a full-frame mask and the row says so. The PSO
     seed is re-derived per image so row i is reproducible in isolation.
+    The clean pass that picks the images is serial; the rows then run
+    through map_in_order and come back, with their log lines, in image_id
+    order.
     """
     clf = Classifier(weights)
     items = dataset.split("test")
     report = ExperimentReport(class_names=list(dataset.class_names))
-    attacked = 0
+    targets = []
     for image_id, (img, label) in enumerate(items):
-        if max_images is not None and attacked >= max_images:
+        if max_images is not None and len(targets) >= max_images:
             break
         clean = clf([img])[0]
-        if clean.label != label:
-            continue
-        attacked += 1
+        if clean.label == label:
+            targets.append((image_id, img, label, clean))
+
+    def attack_row(target) -> AttackRecord:
+        image_id, img, label, clean = target
         note = ""
         try:
             mask = generate_mask(img)
@@ -151,29 +160,30 @@ def run_attack_sweep(
             note = "full-frame fallback: no contour found"
         per_image = dataclasses.replace(config, seed=config.seed * 100003 + image_id)
         result = run_attack(img, mask, clf, label, per_image)
-        report.attack_rows.append(
-            AttackRecord(
-                image_id=image_id,
-                true_label=label,
-                clean_label=clean.label,
-                clean_confidence=clean.confidence,
-                adv_label=result.adversarial_prediction.label,
-                adv_confidence=result.adversarial_prediction.confidence,
-                success=result.success,
-                iterations=result.iterations_used,
-                mask_note=note,
-                adversarial_image=result.adversarial_image,
-                shadow=result.shadow,
-            )
+        return AttackRecord(
+            image_id=image_id,
+            true_label=label,
+            clean_label=clean.label,
+            clean_confidence=clean.confidence,
+            adv_label=result.adversarial_prediction.label,
+            adv_confidence=result.adversarial_prediction.confidence,
+            success=result.success,
+            iterations=result.iterations_used,
+            mask_note=note,
+            adversarial_image=result.adversarial_image,
+            shadow=result.shadow,
         )
+
+    report.attack_rows = map_in_order(attack_row, targets)
+    for attacked, row in enumerate(report.attack_rows, 1):
         log.info(
             "attack %d/%d: image %d %s -> %s (%s)",
             attacked,
             max_images if max_images is not None else len(items),
-            image_id,
-            dataset.class_names[label],
-            dataset.class_names[result.adversarial_prediction.label],
-            "flipped" if result.success else "held",
+            row.image_id,
+            dataset.class_names[row.true_label],
+            dataset.class_names[row.adv_label],
+            "flipped" if row.success else "held",
         )
     return report
 
@@ -478,6 +488,13 @@ def emit_report(report: ExperimentReport, format: str = "text-table") -> bytes:
 # End-to-end sweep
 
 
+def _timed(job):
+    """(job(), wall seconds it took)."""
+    t0 = time.monotonic()
+    out = job()
+    return out, time.monotonic() - t0
+
+
 def run_full_sweep(
     out_dir,
     seed: int = 0,
@@ -488,25 +505,36 @@ def run_full_sweep(
     vote_policy: VotePolicy = VotePolicy(),
     max_images: int | None = None,
 ) -> ExperimentReport:
-    """synth -> train -> attack -> archive -> baseline -> defend -> report.
+    """synth -> train and baseline -> attack -> archive -> defend -> report.
 
     Writes report.csv / report.json / report.txt plus both weight files
     under out_dir. All stages are seeded from `seed` by fixed offsets, so
     the csv report is byte-identical across runs.
     """
+    sweep_start = time.monotonic()
     os.makedirs(str(out_dir), exist_ok=True)
     scfg = synth_config or SynthConfig(seed=seed)
     tcfg = train_config or TrainConfig(seed=seed)
     acfg = attack_config or AttackConfig(seed=seed)
 
     log.info("rendering corpus: %d train + %d test per class", scfg.per_class, scfg.test_per_class)
+    t0 = time.monotonic()
     ds = synth_dataset(scfg)
+    synth_seconds = time.monotonic() - t0
     mcfg = dataclasses.replace(model_config, input_side=min(model_config.input_side, scfg.side))
 
+    # The baseline reads only the corpus and its own augment stream, so the
+    # two trainings run side by side; each is timed inside its own job.
+    (weights, train_seconds), (baseline, baseline_seconds) = map_in_order(
+        _timed,
+        [
+            partial(train, ds, tcfg, mcfg),
+            partial(train_adversarial_baseline, ds, acfg, tcfg, mcfg, augment_seed=seed + 17),
+        ],
+    )
     t0 = time.monotonic()
-    weights = train(ds, tcfg, mcfg)
-    train_seconds = time.monotonic() - t0
     accuracy, _ = evaluate(weights, ds.split("test"))
+    evaluate_seconds = time.monotonic() - t0
     log.info("clean model: %.2f%% test accuracy in %.1fs", accuracy * 100, train_seconds)
 
     t0 = time.monotonic()
@@ -520,10 +548,6 @@ def run_full_sweep(
         labels, archive_root, side=scfg.side, renders_per_sign=vote_policy.min_history, seed=seed + 1
     )
     archive_seconds = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    baseline = train_adversarial_baseline(ds, acfg, tcfg, mcfg, augment_seed=seed + 17)
-    baseline_seconds = time.monotonic() - t0
 
     t0 = time.monotonic()
     defense = run_defense_sweep(
@@ -541,11 +565,14 @@ def run_full_sweep(
     report.meta = {
         "seed": seed,
         "clean_test_accuracy": round(accuracy, 6),
+        "synth_seconds": round(synth_seconds, 3),
         "train_seconds": round(train_seconds, 3),
+        "baseline_seconds": round(baseline_seconds, 3),
+        "evaluate_seconds": round(evaluate_seconds, 3),
         "attack_seconds": round(attack_seconds, 3),
         "archive_seconds": round(archive_seconds, 3),
-        "baseline_seconds": round(baseline_seconds, 3),
         "defense_seconds": round(defense_seconds, 3),
+        "sweep_seconds": round(time.monotonic() - sweep_start, 3),
     }
 
     with open(os.path.join(str(out_dir), "weights.csw"), "wb") as fh:

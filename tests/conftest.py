@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,6 +17,16 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes this process see n CPUs, which sets parallel.map_in_order's worker count."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_cpus
 
 
 def flat_image(value: int, width: int = 8, height: int = 8, channels: int = 3) -> RasterImage:

@@ -379,3 +379,18 @@ def test_acceptance_11_sweep_reproducibility(tmp_path):
         ok,
         f"two seed-7 sweeps emitted byte-identical report.csv ({len(outputs[0])} bytes)",
     )
+
+
+def test_sweep_bytes_match_across_worker_counts(tmp_path, cpus):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SWEEP_CFG)
+    outputs = []
+    for n in (1, 2):
+        cpus(n)
+        out = tmp_path / str(n)
+        rc = cli_main(
+            ["--seed", "7", "--config", str(cfg), "--out", str(out), "sweep", "--max-images", "4"]
+        )
+        assert rc == 0
+        outputs.append([(out / name).read_bytes() for name in ("report.csv", "weights.csw", "baseline.csw")])
+    assert outputs[0] == outputs[1]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from chrono_shield import cli, harness, history
 from chrono_shield.attack import AttackConfig, InvalidConfig
-from chrono_shield.cnn import ModelConfig, ModelWeights, TrainConfig, init_weights, train
+from chrono_shield.cnn import ModelConfig, ModelWeights, TrainConfig, init_weights, predict_batch, train
 from chrono_shield.codecs import load_image, save_image
 from chrono_shield.configfile import (
     BadConfigLine,
@@ -210,6 +211,47 @@ class TestAttackSweep:
         )
         assert report.attack_rows == []
         assert report.attack_success_rate() is None
+
+    def test_rows_match_across_worker_counts(self, cpus):
+        weights = init_weights(TINY_MODEL, seed=2)  # flips 6 of 14 rows at mixed iteration counts
+        ds = self_labelled_test_set(weights, wrong={1, 3})
+        config = AttackConfig(swarm=4, iterations=3, seed=0)
+        reports = []
+        for n in (1, 2):
+            cpus(n)
+            reports.append(run_attack_sweep(weights, ds, config))
+        one, two = (r.attack_rows for r in reports)
+        assert [r.image_id for r in one] == [i for i in range(16) if i not in (1, 3)]
+        assert len(one) == len(two)
+        for a, b in zip(one, two):
+            for f in dataclasses.fields(AttackRecord):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if f.name == "adversarial_image":
+                    assert np.array_equal(x.pixels, y.pixels)
+                elif f.name == "shadow":
+                    assert np.array_equal(x.vertices, y.vertices) and x.darkening == y.darkening
+                else:
+                    assert x == y, f.name
+
+    def test_max_images_takes_the_first_correct_images_in_order(self, cpus, caplog):
+        cpus(2)
+        weights = init_weights(TINY_MODEL, seed=2)
+        ds = self_labelled_test_set(weights, wrong={0, 2, 3})
+        with caplog.at_level(logging.INFO, logger=harness.__name__):
+            report = run_attack_sweep(weights, ds, AttackConfig(swarm=4, iterations=3, seed=0), max_images=4)
+        assert [r.image_id for r in report.attack_rows] == [1, 4, 5, 6]
+        logged = [r.args[:3] for r in caplog.records if r.msg.startswith("attack %d/%d")]
+        assert logged == [(1, 4, 1), (2, 4, 4), (3, 4, 5), (4, 4, 6)]
+
+
+def self_labelled_test_set(weights: ModelWeights, wrong: set[int]) -> LabeledImageSet:
+    """One synthetic test frame per class, each labelled with the class the
+    victim predicts for it, except the frames in `wrong`, which it misclassifies."""
+    ds = synth_dataset(SynthConfig(per_class=1, test_per_class=1, side=32, seed=0))
+    frames = [img for img, _ in ds.split("test")]
+    predicted = [p.label for p in predict_batch(weights, frames)]
+    items = [(img, (label + (i in wrong)) % 16, "test") for i, (img, label) in enumerate(zip(frames, predicted))]
+    return LabeledImageSet(list(ds.class_names), items)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +457,12 @@ def test_full_sweep_times_every_stage(tmp_path):
         max_images=1,
     )
     meta = json.loads((tmp_path / "report.json").read_text())["meta"]
-    stages = ("train", "attack", "archive", "baseline", "defense")
+    stages = ("synth", "train", "baseline", "evaluate", "attack", "archive", "defense")
     assert all(meta[f"{stage}_seconds"] >= 0.0 for stage in stages)
+    # The two trainings may overlap; every other stage runs after the one before.
+    serial = ("synth", "evaluate", "attack", "archive", "defense")
+    floor = sum(meta[f"{stage}_seconds"] for stage in serial) + max(meta["train_seconds"], meta["baseline_seconds"])
+    assert meta["sweep_seconds"] >= floor - 0.005  # each figure is rounded to 1 ms
 
 
 # ---------------------------------------------------------------------------
