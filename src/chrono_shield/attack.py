@@ -79,94 +79,38 @@ class AttackResult:
 # Shadow application
 
 
-def _polygon_pixels(verts: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-    """Even-odd membership of pixel centers (x+0.5, y+0.5) in the polygon,
-    over the integer pixel window [x0..x1] x [y0..y1]."""
-    xs = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
-    ys = np.arange(y0, y1 + 1, dtype=np.float64) + 0.5
-    px = xs[None, :]
-    py = ys[:, None]
-    inside = np.zeros((ys.size, xs.size), dtype=bool)
-    vx = verts[:, 0]
-    vy = verts[:, 1]
-    wx = np.roll(vx, -1)
-    wy = np.roll(vy, -1)
-    for i in range(len(verts)):
-        if vy[i] == wy[i]:
-            continue
-        crosses = (vy[i] <= py) != (wy[i] <= py)
-        t = (py - vy[i]) / (wy[i] - vy[i])
-        xint = vx[i] + t * (wx[i] - vx[i])
-        inside ^= crosses & (px < xint)
-    return inside
-
-
-def _twice_area(vx: np.ndarray, vy: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
-    """Twice the shoelace area of polygon (vx, vy); (wx, wy) is it rolled by one vertex."""
-    return abs(np.dot(vx, wy) - np.dot(vy, wx))
-
-
-def _mask_bbox(bits: np.ndarray) -> tuple[int, int, int, int]:
-    ys, xs = np.nonzero(bits)
-    return int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
-
-
 def apply_shadow(img: RasterImage, mask: BinaryMask, shadow: ShadowSpec) -> RasterImage:
     """Darken (polygon intersect mask) pixels; everything else is untouched.
 
-    Vertices are normalized and mapped onto the mask's bounding box. A
-    zero-area polygon is a no-op and returns the input unchanged.
+    The one-polygon case of _shadow_batch. When no pixel changes (an empty
+    mask, a zero-area polygon, darkening 1) the input itself is returned.
     """
     if (mask.height, mask.width) != (img.height, img.width):
         raise ValueError("mask and image dimensions differ")
-    bits = mask.bits
-    if not bits.any():
-        return img
-    bx0, by0, bx1, by1 = _mask_bbox(bits)
-    bw = bx1 - bx0 + 1
-    bh = by1 - by0 + 1
-    verts = np.empty_like(shadow.vertices)
-    verts[:, 0] = bx0 + shadow.vertices[:, 0] * bw
-    verts[:, 1] = by0 + shadow.vertices[:, 1] * bh
-    vx, vy = verts[:, 0], verts[:, 1]
-    if _twice_area(vx, vy, np.roll(vx, -1), np.roll(vy, -1)) < 1e-12:
-        return img  # degenerate polygon: no-op
-    # Work only inside the polygon's own bbox clipped to the mask bbox.
-    wx0 = max(bx0, int(np.floor(vx.min())))
-    wx1 = min(bx1, int(np.ceil(vx.max())))
-    wy0 = max(by0, int(np.floor(vy.min())))
-    wy1 = min(by1, int(np.ceil(vy.max())))
-    if wx0 > wx1 or wy0 > wy1:
-        return img
-    sel = _polygon_pixels(verts, wx0, wy0, wx1, wy1)
-    sel &= bits[wy0 : wy1 + 1, wx0 : wx1 + 1]
-    if not sel.any():
-        return img
-    out = np.array(img.pixels)
-    window = out[wy0 : wy1 + 1, wx0 : wx1 + 1]
-    shaded = np.rint(window[sel].astype(np.float64) * shadow.darkening)
-    window[sel] = np.clip(shaded, 0, 255).astype(np.uint8)
-    return RasterImage(out)
+    out = _shadow_batch(img, mask, shadow.vertices[None], shadow.darkening)[0]
+    return img if np.array_equal(out, img.pixels) else RasterImage(out)
 
 
 def _shadow_batch(img: RasterImage, mask: BinaryMask, vertices: np.ndarray, darkening: float) -> np.ndarray:
-    """apply_shadow's pixels for n polygons at once, as uint8 (n, h, w, c).
+    """img with each of n shadows applied, as uint8 (n, h, w, c).
 
-    vertices is (n, k, 2) in [0, 1]. Row i is byte-identical to
-    apply_shadow(img, mask, ShadowSpec(vertices[i], darkening)).pixels:
-    the membership test is evaluated over the whole mask bbox, where it is
-    false outside each polygon's own bbox, so the result is the same.
+    vertices is (n, k, 2) in [0, 1], mapped onto the mask's bounding box.
+    A pixel is darkened when its centre (x+0.5, y+0.5) is inside the
+    polygon by the even-odd rule and its mask bit is set; the new value is
+    rint(value * darkening). A polygon whose doubled shoelace area is
+    under 1e-12 is degenerate and darkens nothing.
     """
     n = vertices.shape[0]
     out = np.broadcast_to(img.pixels, (n, *img.pixels.shape)).copy()
     bits = mask.bits
     if not bits.any():
         return out
-    bx0, by0, bx1, by1 = _mask_bbox(bits)
+    ys, xs = np.nonzero(bits)
+    bx0, by0, bx1, by1 = int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
     verts = np.empty_like(vertices, dtype=np.float64)
     verts[..., 0] = bx0 + vertices[..., 0] * (bx1 - bx0 + 1)
     verts[..., 1] = by0 + vertices[..., 1] * (by1 - by0 + 1)
-    vx, vy = verts[..., 0], verts[..., 1]  # (n, k), strided as in apply_shadow
+    vx, vy = verts[..., 0], verts[..., 1]  # (n, k)
     wx = np.roll(vx, -1, axis=1)
     wy = np.roll(vy, -1, axis=1)
     px = np.arange(bx0, bx1 + 1, dtype=np.float64) + 0.5
@@ -179,7 +123,7 @@ def _shadow_batch(img: RasterImage, mask: BinaryMask, vertices: np.ndarray, dark
         t = (py - a) / dy[:, i, None, None]
         xint = vx[:, i, None, None] + t * (wx[:, i, None, None] - vx[:, i, None, None])
         sel ^= crosses & (px < xint)
-    area2 = np.array([_twice_area(vx[j], vy[j], wx[j], wy[j]) for j in range(n)])
+    area2 = np.array([abs(np.dot(vx[j], wy[j]) - np.dot(vy[j], wx[j])) for j in range(n)])
     sel[area2 < 1e-12] = False  # degenerate polygon: no-op
     sel &= bits[by0 : by1 + 1, bx0 : bx1 + 1]
     window = img.pixels[by0 : by1 + 1, bx0 : bx1 + 1]
@@ -266,6 +210,8 @@ def run_attack(
     Prediction per frame; each swarm round is one call. Fitness is the
     victim's true-class probability, or (margin) true-class minus best-other.
     """
+    if (mask.height, mask.width) != (img.height, img.width):
+        raise ValueError("mask and image dimensions differ")
     if not mask.bits.any():
         raise DegenerateMask("mask has no true bits")
     if config.fitness not in ("true_prob", "margin"):

@@ -37,7 +37,7 @@ from .cnn import (
     train,
 )
 from .dataset import LabeledImageSet
-from .defense import DefenseWarning, VotePolicy, defend
+from .defense import VotePolicy, defend
 from .history import HistoryQuery, MatchPolicy, _archive_records, load_manifest
 from .masks import BinaryMask, NoContourFound, generate_mask
 from .parallel import map_in_order

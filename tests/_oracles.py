@@ -86,6 +86,30 @@ def polygon_membership(verts: np.ndarray, width: int, height: int) -> np.ndarray
     return bits
 
 
+def direct_shadow(pixels: np.ndarray, bits: np.ndarray, vertices: np.ndarray, darkening: float) -> np.ndarray:
+    """pixels (h, w, c) with one shadow drawn. vertices (k, 2) in [0, 1]
+    map onto the bounding box of the mask bits; pixels inside the polygon
+    (polygon_membership) and the mask become rint(value * darkening). A
+    polygon whose doubled shoelace area, summed edge by edge, is under
+    1e-12 draws nothing."""
+    if not bits.any():
+        return pixels.copy()
+    ys, xs = np.nonzero(bits)
+    by0, bx0, by1, bx1 = ys.min(), xs.min(), ys.max(), xs.max()
+    verts = np.empty_like(vertices, dtype=np.float64)
+    verts[:, 0] = bx0 + vertices[:, 0] * (bx1 - bx0 + 1)
+    verts[:, 1] = by0 + vertices[:, 1] * (by1 - by0 + 1)
+    k = len(verts)
+    area2 = sum(verts[i, 0] * verts[(i + 1) % k, 1] - verts[(i + 1) % k, 0] * verts[i, 1] for i in range(k))
+    if abs(area2) < 1e-12:
+        return pixels.copy()
+    h, w = bits.shape
+    allowed = bits & polygon_membership(verts, w, h)
+    out = pixels.astype(np.float64)
+    out[allowed] = np.clip(np.rint(out[allowed] * darkening), 0, 255)
+    return out.astype(np.uint8)
+
+
 def dense_dilate(bits: np.ndarray, k: int) -> np.ndarray:
     """Any true pixel within the (2k+1)^2 window; outside the frame false."""
     h, w = bits.shape

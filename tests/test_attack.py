@@ -20,7 +20,7 @@ from chrono_shield.cnn import Prediction
 from chrono_shield.masks import BinaryMask
 from chrono_shield.raster import RasterImage
 
-from _oracles import polygon_membership
+from _oracles import direct_shadow, polygon_membership
 from conftest import flat_image, random_image
 
 
@@ -148,18 +148,8 @@ class TestApplyShadow:
             k = int(rng.integers(3, 6))
             spec = ShadowSpec(vertices=rng.random((k, 2)), darkening=float(rng.uniform(0.2, 0.9)))
             out = apply_shadow(img, BinaryMask(bits), spec)
-
-            ys, xs = np.nonzero(bits)
-            by0, bx0, by1, bx1 = ys.min(), xs.min(), ys.max(), xs.max()
-            verts = np.empty_like(spec.vertices)
-            verts[:, 0] = bx0 + spec.vertices[:, 0] * (bx1 - bx0 + 1)
-            verts[:, 1] = by0 + spec.vertices[:, 1] * (by1 - by0 + 1)
-            poly = polygon_membership(verts, w, h)
-
-            allowed = bits & poly
-            expected = img.pixels.astype(np.float64).copy()
-            expected[allowed] = np.clip(np.rint(expected[allowed] * spec.darkening), 0, 255)
-            assert np.array_equal(out.pixels, expected.astype(np.uint8))
+            want = direct_shadow(img.pixels, bits, spec.vertices, spec.darkening)
+            assert np.array_equal(out.pixels, want)
 
     def test_never_mutates_input(self):
         img = flat_image(200, 8, 8)
@@ -169,7 +159,7 @@ class TestApplyShadow:
 
 
 # ---------------------------------------------------------------------------
-# _shadow_batch: byte-identical to apply_shadow, row by row
+# _shadow_batch against the direct_shadow oracle, row by row
 
 # Coordinates on the bbox edges and on a coarse grid give horizontal edges,
 # vertices on 0 and 1, and exactly collinear or coincident vertices.
@@ -206,20 +196,20 @@ def shadow_batches(draw):
 
 @given(shadow_batches())
 @settings(max_examples=300, deadline=None)
-def test_shadow_batch_rows_match_apply_shadow(case):
+def test_shadow_batch_rows_match_direct_shadow(case):
     img, mask, verts, darkening = case
-    # Subnormal coordinates overflow the edge intersection to inf in both paths alike.
+    # Subnormal coordinates overflow the edge intersection to inf in both routes alike.
     with np.errstate(over="ignore", invalid="ignore"):
         out = _shadow_batch(img, mask, verts, darkening)
-        wants = [apply_shadow(img, mask, ShadowSpec(vertices=v, darkening=darkening)) for v in verts]
+        wants = [direct_shadow(img.pixels, mask.bits, v, darkening) for v in verts]
     assert out.shape == (len(verts), *img.pixels.shape) and out.dtype == np.uint8
     for row, want in zip(out, wants):
-        assert np.array_equal(row, want.pixels)
+        assert np.array_equal(row, want)
 
 
 def test_shadow_batch_keeps_the_degenerate_area_rule():
-    # A sliver with doubled area ~3e-13, under apply_shadow's 1e-12 cutoff,
-    # still holds the pixel centres of row 6; both paths leave it undrawn.
+    # A sliver with doubled area ~3e-13, under the 1e-12 cutoff, still holds
+    # the pixel centres of row 6; the renderer and its wrapper leave it undrawn.
     img = flat_image(200, 12, 12)
     mask = BinaryMask.full(12, 12)
     c, e = 6.5 / 12, 1e-15
@@ -227,6 +217,7 @@ def test_shadow_batch_keeps_the_degenerate_area_rule():
     assert polygon_membership(verts[0] * 12, 12, 12)[6].all()
     assert apply_shadow(img, mask, ShadowSpec(vertices=verts[0], darkening=0.5)) is img
     assert np.array_equal(_shadow_batch(img, mask, verts, 0.5)[0], img.pixels)
+    assert np.array_equal(direct_shadow(img.pixels, mask.bits, verts[0], 0.5), img.pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +322,13 @@ class TestRunAttack:
             with pytest.raises(InvalidConfig):
                 run_attack(img, mask, counter, 1, cfg)
             assert counter.batches == []  # rejected before any victim query
+
+    @pytest.mark.parametrize("size", [32, 80])
+    def test_mask_size_mismatch(self, size):
+        counter = CountingVictim(MeanVictim())
+        with pytest.raises(ValueError, match="dimensions differ"):
+            run_attack(flat_image(200, 64, 64), BinaryMask.full(size, size), counter, 1)
+        assert counter.batches == []  # rejected before any victim query
 
     def test_constant_victim_never_flips(self):
         img = flat_image(200, 16, 16)
