@@ -34,7 +34,16 @@ from .dataset import load_dataset, save_dataset
 from .defense import VotePolicy, defend, format_verdict
 from .fixture_server import HistoryFixtureServer
 from .harness import emit_report, run_full_sweep
-from .history import HistoryQuery, MatchPolicy, RemoteHistoryClient, query_archive
+from .history import (
+    HistoryQuery,
+    ManifestMalformed,
+    ManifestMissing,
+    MatchPolicy,
+    NetworkUnreachable,
+    ProtocolError,
+    RemoteHistoryClient,
+    query_archive,
+)
 from .masks import BinaryMask, MaskParams, NoContourFound, generate_mask
 from .synth import CLASS_NAMES, SynthConfig, synth_dataset
 
@@ -209,7 +218,11 @@ def _cmd_attack(args) -> int:
         except NoContourFound:
             mask = BinaryMask.full(img.width, img.height)
             note = " (full-frame mask: no contour found)"
-    result = run_attack(img, mask, Classifier(weights), label, acfg)
+    try:
+        result = run_attack(img, mask, Classifier(weights), label, acfg)
+    except ValueError as exc:  # mask size, empty mask, attack config
+        print(f"no attack: {exc}", file=sys.stderr)
+        return 2
     path = _out_file(args.out, "adversarial.png")
     save_image(result.adversarial_image, path)
     before = result.original_prediction
@@ -237,11 +250,15 @@ def _cmd_defend(args) -> int:
         max_records=vote.min_history,
         before=before,
     )
-    if args.history.startswith(("http://", "https://")):
-        client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)
-        records = client.query(query)
-    else:
-        records = query_archive(args.history, query, match)
+    try:
+        if args.history.startswith(("http://", "https://")):
+            client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)
+            records = client.query(query)
+        else:
+            records = query_archive(args.history, query, match)
+    except (ManifestMissing, ManifestMalformed, NetworkUnreachable, ProtocolError) as exc:
+        print(f"no history: {exc}", file=sys.stderr)
+        return 2
     verdict = defend(img, records, weights, vote)
     print(format_verdict(verdict, CLASS_NAMES))
     return 0

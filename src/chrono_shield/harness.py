@@ -64,9 +64,9 @@ class AttackRecord:
     success: bool
     iterations: int
     mask_note: str = ""
-    # Carried for the defense stage; never serialized.
-    adversarial_image: RasterImage | None = None
-    shadow: ShadowSpec | None = None
+    # Carried for the defense stage; report.json leaves them out.
+    adversarial_image: RasterImage | None = field(default=None, metadata={"report": False})
+    shadow: ShadowSpec | None = field(default=None, metadata={"report": False})
 
 
 @dataclass(frozen=True)
@@ -234,10 +234,12 @@ def run_defense_sweep(
 
     coords[image_id] gives the (lat, lon, heading) the sign was archived
     under. Produces the three comparison columns per row: undefended
-    label, baseline model's label, and the voted label.
+    label, baseline model's label, and the voted label. The returned
+    report carries attack_rows as well, so each defense row has its attack
+    row beside it; rows without an adversarial image get no defense row.
     """
     entries = load_manifest(archive_root)  # read once; a missing archive fails before any row
-    report = ExperimentReport(class_names=list(class_names or []))
+    report = ExperimentReport(class_names=list(class_names or []), attack_rows=list(attack_rows))
     for row in attack_rows:
         if row.adversarial_image is None:
             continue
@@ -319,122 +321,102 @@ _CSV_HEADER = [
 ]
 
 
-def _merged_rows(report: ExperimentReport):
-    """One dict per image id, attack and defense columns joined."""
-    defense = {r.image_id: r for r in report.defense_rows}
-    ids = sorted({r.image_id for r in report.attack_rows} | set(defense))
-    attack = {r.image_id: r for r in report.attack_rows}
-    name = lambda i: report.class_names[i] if report.class_names else str(i)  # noqa: E731
-    for image_id in ids:
-        a = attack.get(image_id)
-        d = defense.get(image_id)
-        row = {k: "" for k in _CSV_HEADER}
-        row["image_id"] = str(image_id)
-        if a is not None:
-            row.update(
-                true=name(a.true_label),
-                clean=name(a.clean_label),
-                clean_conf=_pct(a.clean_confidence),
-                adv=name(a.adv_label),
-                adv_conf=_pct(a.adv_confidence),
-                attack_success=_yesno(a.success),
-                iterations=str(a.iterations),
-                mask_note=a.mask_note,
-            )
-        if d is not None:
-            row["true"] = name(d.true_label)
-            if a is None:
-                row["adv"] = name(d.no_defense_label)
-                row["attack_success"] = _yesno(d.attack_success)
-            row.update(
-                no_defense_ok=_yesno(d.no_defense_ok),
-                baseline="" if d.baseline_label is None else name(d.baseline_label),
-                baseline_ok=_yesno(d.baseline_ok),
-                voted=name(d.voted_label),
-                voted_conf=_pct(d.voted_confidence),
-                defense_ok=_yesno(d.defense_ok),
-                suspected_attack=_yesno(d.suspected_attack),
-                warnings="|".join(d.warnings),
-                voters="|".join(
-                    f"{v.source}:{v.capture_date}:{name(v.label)}:{_pct(v.confidence)}"
-                    for v in d.voters
-                ),
-            )
-        yield row
+def _namer(class_names: list[str]):
+    """Label index -> class name; the index itself when the report has none."""
+    return (lambda i: class_names[i]) if class_names else str
+
+
+def _by_id(rows: list) -> list:
+    return sorted(rows, key=lambda r: r.image_id)
+
+
+def _rates(report: ExperimentReport) -> dict[str, float | None]:
+    return {
+        "attack_success_rate": report.attack_success_rate(),
+        "defense_success_rate": report.defense_success_rate(),
+        "baseline_defense_rate": report.baseline_defense_rate(),
+    }
+
+
+def _csv_row(a: AttackRecord, d: DefenseRecord | None, name) -> dict:
+    """One report.csv row: the attack columns, then the defense columns if
+    the image was defended; the writer leaves absent columns empty."""
+    row = dict(
+        image_id=a.image_id,
+        true=name(a.true_label),
+        clean=name(a.clean_label),
+        clean_conf=_pct(a.clean_confidence),
+        adv=name(a.adv_label),
+        adv_conf=_pct(a.adv_confidence),
+        attack_success=_yesno(a.success),
+        iterations=a.iterations,
+        mask_note=a.mask_note,
+    )
+    if d is not None:
+        row.update(
+            no_defense_ok=_yesno(d.no_defense_ok),
+            baseline="" if d.baseline_label is None else name(d.baseline_label),
+            baseline_ok=_yesno(d.baseline_ok),
+            voted=name(d.voted_label),
+            voted_conf=_pct(d.voted_confidence),
+            defense_ok=_yesno(d.defense_ok),
+            suspected_attack=_yesno(d.suspected_attack),
+            warnings="|".join(d.warnings),
+            voters="|".join(
+                f"{v.source}:{v.capture_date}:{name(v.label)}:{_pct(v.confidence)}"
+                for v in d.voters
+            ),
+        )
+    return row
 
 
 def _emit_csv(report: ExperimentReport) -> bytes:
     buf = io.StringIO()
-    buf.write(f"# attack_success_rate={_pct(report.attack_success_rate())}\n")
-    buf.write(f"# defense_success_rate={_pct(report.defense_success_rate())}\n")
-    buf.write(f"# baseline_defense_rate={_pct(report.baseline_defense_rate())}\n")
-    writer = _csv.DictWriter(buf, fieldnames=_CSV_HEADER, lineterminator="\n")
+    for key, rate in _rates(report).items():
+        buf.write(f"# {key}={_pct(rate)}\n")
+    writer = _csv.DictWriter(buf, fieldnames=_CSV_HEADER, restval="", lineterminator="\n")
     writer.writeheader()
-    for row in _merged_rows(report):
-        writer.writerow(row)
+    name = _namer(report.class_names)
+    defense = {r.image_id: r for r in report.defense_rows}
+    for a in _by_id(report.attack_rows):
+        writer.writerow(_csv_row(a, defense.get(a.image_id), name))
     return buf.getvalue().encode("utf-8")
+
+
+def _to_json(value):
+    """A record as JSON data, walked from its dataclass fields: fields marked
+    report=False are left out, floats round to 6 places, tuples become lists."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _to_json(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.metadata.get("report", True)
+        }
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, float):
+        return round(value, 6)
+    return value
 
 
 def _emit_json(report: ExperimentReport) -> bytes:
     doc = {
         "class_names": report.class_names,
-        "attack_rows": [
-            {
-                "image_id": r.image_id,
-                "true_label": r.true_label,
-                "clean_label": r.clean_label,
-                "clean_confidence": round(r.clean_confidence, 6),
-                "adv_label": r.adv_label,
-                "adv_confidence": round(r.adv_confidence, 6),
-                "success": r.success,
-                "iterations": r.iterations,
-                "mask_note": r.mask_note,
-            }
-            for r in sorted(report.attack_rows, key=lambda r: r.image_id)
-        ],
-        "defense_rows": [
-            {
-                "image_id": r.image_id,
-                "true_label": r.true_label,
-                "attack_success": r.attack_success,
-                "no_defense_label": r.no_defense_label,
-                "no_defense_ok": r.no_defense_ok,
-                "baseline_label": r.baseline_label,
-                "baseline_ok": r.baseline_ok,
-                "voted_label": r.voted_label,
-                "voted_confidence": round(r.voted_confidence, 6),
-                "defense_ok": r.defense_ok,
-                "suspected_attack": r.suspected_attack,
-                "warnings": list(r.warnings),
-                "voters": [
-                    {
-                        "source": v.source,
-                        "capture_date": v.capture_date,
-                        "label": v.label,
-                        "confidence": round(v.confidence, 6),
-                    }
-                    for v in r.voters
-                ],
-            }
-            for r in sorted(report.defense_rows, key=lambda r: r.image_id)
-        ],
-        "aggregates": {
-            "attack_success_rate": report.attack_success_rate(),
-            "defense_success_rate": report.defense_success_rate(),
-            "baseline_defense_rate": report.baseline_defense_rate(),
-        },
+        "attack_rows": [_to_json(r) for r in _by_id(report.attack_rows)],
+        "defense_rows": [_to_json(r) for r in _by_id(report.defense_rows)],
+        "aggregates": _rates(report),
         "meta": report.meta,
     }
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _emit_text(report: ExperimentReport) -> bytes:
-    name = lambda i: report.class_names[i] if report.class_names else str(i)  # noqa: E731
+    name = _namer(report.class_names)
     lines: list[str] = []
     if report.attack_rows:
         lines.append(f"Attack sweep ({len(report.attack_rows)} images)")
         lines.append(f"{'id':>4}  {'true':<20} {'clean':<28} {'adversarial':<28} {'flip':<4} note")
-        for r in sorted(report.attack_rows, key=lambda r: r.image_id):
+        for r in _by_id(report.attack_rows):
             clean = f"{name(r.clean_label)} ({_pct(r.clean_confidence)}%)"
             adv = f"{name(r.adv_label)} ({_pct(r.adv_confidence)}%)"
             lines.append(
@@ -449,7 +431,7 @@ def _emit_text(report: ExperimentReport) -> bytes:
             f"{'id':>4}  {'true':<20} {'no defense':<12} {'baseline':<12} "
             f"{'voted':<28} {'ok':<4} flags"
         )
-        for r in sorted(report.defense_rows, key=lambda r: r.image_id):
+        for r in _by_id(report.defense_rows):
             flags = []
             if r.suspected_attack:
                 flags.append("suspected-attack")
@@ -474,24 +456,28 @@ def _emit_text(report: ExperimentReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_EMITTERS = {"text-table": _emit_text, "text": _emit_text, "csv": _emit_csv, "json": _emit_json}
+
+
 def emit_report(report: ExperimentReport, format: str = "text-table") -> bytes:
-    if format in ("text-table", "text"):
-        return _emit_text(report)
-    if format == "csv":
-        return _emit_csv(report)
-    if format == "json":
-        return _emit_json(report)
-    raise ValueError(f"unknown report format {format!r}")
+    """The report as bytes in one of the formats; every defense row must
+    have the attack row of its image beside it."""
+    if format not in _EMITTERS:
+        raise ValueError(f"unknown report format {format!r}")
+    orphans = {r.image_id for r in report.defense_rows} - {r.image_id for r in report.attack_rows}
+    if orphans:
+        raise ValueError(f"defense rows without an attack row: image ids {sorted(orphans)}")
+    return _EMITTERS[format](report)
 
 
 # ---------------------------------------------------------------------------
 # End-to-end sweep
 
 
-def _timed(job):
-    """(job(), wall seconds it took)."""
+def _timed(job, *args, **kwargs):
+    """(job(*args, **kwargs), wall seconds it took)."""
     t0 = time.monotonic()
-    out = job()
+    out = job(*args, **kwargs)
     return out, time.monotonic() - t0
 
 
@@ -516,76 +502,51 @@ def run_full_sweep(
     scfg = synth_config or SynthConfig(seed=seed)
     tcfg = train_config or TrainConfig(seed=seed)
     acfg = attack_config or AttackConfig(seed=seed)
+    seconds = {}
 
     log.info("rendering corpus: %d train + %d test per class", scfg.per_class, scfg.test_per_class)
-    t0 = time.monotonic()
-    ds = synth_dataset(scfg)
-    synth_seconds = time.monotonic() - t0
+    ds, seconds["synth"] = _timed(synth_dataset, scfg)
     mcfg = dataclasses.replace(model_config, input_side=min(model_config.input_side, scfg.side))
 
     # The baseline reads only the corpus and its own augment stream, so the
     # two trainings run side by side; each is timed inside its own job.
-    (weights, train_seconds), (baseline, baseline_seconds) = map_in_order(
+    (weights, seconds["train"]), (baseline, seconds["baseline"]) = map_in_order(
         _timed,
         [
             partial(train, ds, tcfg, mcfg),
             partial(train_adversarial_baseline, ds, acfg, tcfg, mcfg, augment_seed=seed + 17),
         ],
     )
-    t0 = time.monotonic()
-    accuracy, _ = evaluate(weights, ds.split("test"))
-    evaluate_seconds = time.monotonic() - t0
-    log.info("clean model: %.2f%% test accuracy in %.1fs", accuracy * 100, train_seconds)
+    (accuracy, _), seconds["evaluate"] = _timed(evaluate, weights, ds.split("test"))
+    log.info("clean model: %.2f%% test accuracy in %.1fs", accuracy * 100, seconds["train"])
 
-    t0 = time.monotonic()
-    report = run_attack_sweep(weights, ds, acfg, max_images=max_images)
-    attack_seconds = time.monotonic() - t0
-
-    t0 = time.monotonic()
+    attacked, seconds["attack"] = _timed(run_attack_sweep, weights, ds, acfg, max_images=max_images)
     archive_root = os.path.join(str(out_dir), "archive")
     labels = [label for _, label in ds.split("test")]
-    coords = make_history_archive(
-        labels, archive_root, side=scfg.side, renders_per_sign=vote_policy.min_history, seed=seed + 1
+    coords, seconds["archive"] = _timed(
+        make_history_archive,
+        labels, archive_root, side=scfg.side, renders_per_sign=vote_policy.min_history, seed=seed + 1,
     )
-    archive_seconds = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    defense = run_defense_sweep(
-        weights,
-        report.attack_rows,
-        archive_root,
-        coords,
-        baseline=baseline,
-        policy=vote_policy,
-        class_names=ds.class_names,
+    report, seconds["defense"] = _timed(
+        run_defense_sweep,
+        weights, attacked.attack_rows, archive_root, coords,
+        baseline=baseline, policy=vote_policy, class_names=ds.class_names,
     )
-    defense_seconds = time.monotonic() - t0
-
-    report.defense_rows = defense.defense_rows
     report.meta = {
         "seed": seed,
         "clean_test_accuracy": round(accuracy, 6),
-        "synth_seconds": round(synth_seconds, 3),
-        "train_seconds": round(train_seconds, 3),
-        "baseline_seconds": round(baseline_seconds, 3),
-        "evaluate_seconds": round(evaluate_seconds, 3),
-        "attack_seconds": round(attack_seconds, 3),
-        "archive_seconds": round(archive_seconds, 3),
-        "defense_seconds": round(defense_seconds, 3),
+        **{f"{stage}_seconds": round(s, 3) for stage, s in seconds.items()},
         "sweep_seconds": round(time.monotonic() - sweep_start, 3),
     }
 
-    with open(os.path.join(str(out_dir), "weights.csw"), "wb") as fh:
-        fh.write(save_weights(weights))
-    with open(os.path.join(str(out_dir), "baseline.csw"), "wb") as fh:
-        fh.write(save_weights(baseline))
-    for fmt, filename in (("csv", "report.csv"), ("json", "report.json"), ("text-table", "report.txt")):
+    for filename, data in (
+        ("weights.csw", save_weights(weights)),
+        ("baseline.csw", save_weights(baseline)),
+        ("report.csv", emit_report(report, "csv")),
+        ("report.json", emit_report(report, "json")),
+        ("report.txt", emit_report(report, "text-table")),
+    ):
         with open(os.path.join(str(out_dir), filename), "wb") as fh:
-            fh.write(emit_report(report, fmt))
-    log.info(
-        "sweep done: attack %s%%, defense %s%%, baseline %s%%",
-        _pct(report.attack_success_rate()),
-        _pct(report.defense_success_rate()),
-        _pct(report.baseline_defense_rate()),
-    )
+            fh.write(data)
+    log.info("sweep done: attack %s%%, defense %s%%, baseline %s%%", *map(_pct, _rates(report).values()))
     return report

@@ -1,6 +1,8 @@
 """Synthetic corpus, config files, sweep plumbing, report emission, CLI."""
 
+import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -343,6 +345,34 @@ class TestEmitReport:
         for fmt in ("text-table", "csv", "json"):
             assert emit_report(self.sample(), fmt) == emit_report(self.sample(), fmt)
 
+    # SHA-256 of emit_report(sample()) as the hand-listed emitters wrote it;
+    # a change to these bytes must be a deliberate one.
+    GOLDEN = {
+        "csv": "10ef1dd29580b8eb9559be40de3e8648f6c6b9a33be00a143bd5abee6cf530bb",
+        "json": "a16d3433c51c493e2fd8deff27f790d0e05283a7225cead8bcd5920352477b71",
+        "text-table": "eb05f37514f70845ac2b9be0a0c1a9e1e94eda4f07503b2aeb897be939a7bd0d",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN))
+    def test_golden_bytes(self, fmt):
+        assert hashlib.sha256(emit_report(self.sample(), fmt)).hexdigest() == self.GOLDEN[fmt]
+
+    def test_json_rows_are_the_record_fields(self):
+        doc = json.loads(emit_report(self.sample(), "json").decode())
+        carried = {"adversarial_image", "shadow"}
+        attack_keys = {f.name for f in dataclasses.fields(AttackRecord)} - carried
+        assert all(set(row) == attack_keys for row in doc["attack_rows"])
+        defense_keys = {f.name for f in dataclasses.fields(DefenseRecord)}
+        assert all(set(row) == defense_keys for row in doc["defense_rows"])
+        assert doc["defense_rows"][0]["voters"] == [] and doc["defense_rows"][0]["warnings"] == []
+
+    def test_orphan_defense_row_rejected(self):
+        r = self.sample()
+        r.defense_rows.append(defense_row(7))
+        for fmt in ("csv", "json", "text-table"):
+            with pytest.raises(ValueError, match="image ids \\[7\\]"):
+                emit_report(r, fmt)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(self.sample(), "yaml")
@@ -415,6 +445,15 @@ class TestDefenseSweep:
         # Zero weights vote class 0 everywhere: wiring, not accuracy.
         assert row.voted_label == 0 and not row.defense_ok
         assert row.baseline_label == 0 and row.baseline_ok is False
+        # The report joins both stages: each image's attack columns, and the
+        # defense columns where it was defended.
+        assert report.attack_rows == rows
+        lines = emit_report(report, "csv").decode().splitlines()[3:]
+        table = list(csv.DictReader(lines))
+        assert [(t["clean"], t["iterations"], t["attack_success"]) for t in table] == [
+            ("curve_left", "3", "yes"), ("curve_left", "3", "yes")
+        ]
+        assert table[0]["voted"] == "stop" and table[1]["voted"] == ""
 
     def test_manifest_read_once_per_sweep(self, tmp_path, rng, monkeypatch):
         labels = [5, 2, 9]
@@ -587,3 +626,39 @@ class TestCli:
         cfg.write_text(line + "\n")
         with pytest.raises(UnknownConfigKey):
             cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "mask", str(tmp_path / "none.png")])
+
+    BAD_INPUTS = {
+        "mask-size": ["attack", "--mask", "{small_mask}"],
+        "empty-mask": ["attack", "--mask", "{black_mask}"],
+        "k-2": ["attack", "--k", "2"],
+        "darkening-0": ["attack", "--darkening", "0"],
+        "no-manifest": ["defend", "--history", "{empty_dir}"],
+        "bad-manifest": ["defend", "--history", "{bad_archive}"],
+        "unreachable": ["defend", "--history", "http://127.0.0.1:1"],
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_is_one_stderr_line_and_exit_2(self, cli_workspace, tmp_path, rng, capsys, case):
+        _, _, out = cli_workspace
+        sign = tmp_path / "sign.png"
+        save_image(render_sign(0, 64, rng), str(sign))
+        save_image(flat_image(255, 32, 32), str(tmp_path / "small_mask.png"))
+        save_image(flat_image(0, 64, 64), str(tmp_path / "black_mask.png"))
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "manifest.json").write_text("not json")
+        paths = dict(
+            small_mask=tmp_path / "small_mask.png",
+            black_mask=tmp_path / "black_mask.png",
+            empty_dir=tmp_path / "empty",
+            bad_archive=tmp_path / "bad",
+        )
+        command, *extra = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
+        where = ["--label", "stop"] if command == "attack" else ["--lat", "40", "--lon", "-74", "--heading", "90"]
+        rc = cli.main(
+            ["--out", str(tmp_path / "o"), command, "--model", str(out / "weights.csw"),
+             "--image", str(sign), *where, *extra]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith(("no attack: ", "no history: "))

@@ -1,11 +1,15 @@
 """Source hygiene checks over the package modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chrono_shield"
+from chrono_shield import harness
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chrono_shield"
 # __init__.py imports only to re-export.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -38,3 +42,12 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     src = "from __future__ import annotations\nimport os\nimport numpy as np\nfrom a import b, c\nnp.x(c)\n"
     assert unused_imports(src) == ["line 2: os", "line 4: b"]
+
+
+def test_readme_csv_header_matches_the_code():
+    """README's "Reports" section shows the report.csv header wrapped over
+    several lines after the comment lines; joined, it is the header."""
+    section = (ROOT / "README.md").read_text().split("### Reports", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    header = "".join(line for line in block.splitlines() if not line.startswith("#"))
+    assert header.split(",") == harness._CSV_HEADER
