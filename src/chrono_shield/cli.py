@@ -128,10 +128,28 @@ def _configs(args):
     return scfg, tcfg, mcfg, acfg, vote, match, mask
 
 
+class BadInput(ValueError):
+    """A command-line input the command cannot use; main() prints it as
+    one stderr line and exits 2."""
+
+
 def _parse_label(text: str) -> int:
     if text in CLASS_NAMES:
         return CLASS_NAMES.index(text)
-    return int(text)
+    try:
+        label = int(text)
+    except ValueError:
+        label = -1
+    if not 0 <= label < len(CLASS_NAMES):
+        raise BadInput(f"label {text!r} is neither a class name nor an index in [0, {len(CLASS_NAMES)})")
+    return label
+
+
+def _read_image(path):
+    try:
+        return load_image(path)
+    except (OSError, ValueError) as exc:
+        raise BadInput(f"cannot read image {path}: {exc}") from exc
 
 
 def _load_weights_file(path):
@@ -185,7 +203,7 @@ def _cmd_mask(args) -> int:
     params = dataclasses.replace(
         params, **{k: v for k, v in overrides.items() if v is not None}
     )
-    img = load_image(args.image)
+    img = _read_image(args.image)
     try:
         mask = generate_mask(img, params)
     except NoContourFound as exc:
@@ -207,11 +225,11 @@ def _cmd_attack(args) -> int:
     }
     acfg = dataclasses.replace(acfg, **{k: v for k, v in overrides.items() if v is not None})
     weights = _load_weights_file(args.model)
-    img = load_image(args.image)
+    img = _read_image(args.image)
     label = _parse_label(args.label)
     note = ""
     if args.mask:
-        mask = BinaryMask.from_image(load_image(args.mask))
+        mask = BinaryMask.from_image(_read_image(args.mask))
     else:
         try:
             mask = generate_mask(img)
@@ -242,7 +260,7 @@ def _cmd_defend(args) -> int:
     if args.min_history is not None:
         vote = dataclasses.replace(vote, min_history=args.min_history)
     weights = _load_weights_file(args.model)
-    img = load_image(args.image)
+    img = _read_image(args.image)
     before = date.fromisoformat(args.before) if args.before else None
     query = HistoryQuery(
         location=(args.lat, args.lon),
@@ -310,7 +328,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BadInput as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
 """Local HTTP fixture serving a history archive for tests and demos.
 
 Routes:
-  GET /history?lat=..&lon=..&heading=..&max=..[&before=..] -> JSON rows
-      {"image_url", "date", "lat", "lon", "heading"}
+  GET /history?lat=..&lon=..[&heading=..][&max=..][&before=..] -> JSON rows
+      {"image_url", "date", "lat", "lon", "heading"}; no heading matches
+      any heading, no max returns every match
   GET /image/<relpath>  -> the archive image transcoded to PNG
   GET /stats            -> {"hits", "history", "image"} request counters
+
+Connections are kept alive between requests (HTTP/1.1).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import socket
 import threading
 from datetime import date
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,8 +25,16 @@ from . import codecs
 from .history import HistoryQuery, MatchPolicy, filter_entries, load_manifest
 
 
+# Every thread a HistoryFixtureServer starts carries this name prefix.
+THREAD_NAME = "history-fixture"
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "HistoryFixture/1"
+    protocol_version = "HTTP/1.1"  # keep the connection open between requests
+    # Headers and body go out in two writes; with Nagle's algorithm on, the
+    # second waits for the client's delayed ACK of the first (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
@@ -51,14 +64,17 @@ class _Handler(BaseHTTPRequestHandler):
                 qs = parse_qs(parsed.query)
                 query = HistoryQuery(
                     location=(float(qs["lat"][0]), float(qs["lon"][0])),
-                    heading=float(qs["heading"][0]),
-                    max_records=int(qs.get("max", ["3"])[0]),
+                    heading=float(qs["heading"][0]) if "heading" in qs else 0.0,
+                    max_records=int(qs["max"][0]) if "max" in qs else max(len(fixture.entries), 1),
                     before=date.fromisoformat(qs["before"][0]) if "before" in qs else None,
                 )
             except (KeyError, ValueError) as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
-            entries = filter_entries(fixture.entries, query, fixture.policy)
+            policy = fixture.policy
+            if "heading" not in qs:
+                policy = dataclasses.replace(policy, heading_tol_deg=180.0)
+            entries = filter_entries(fixture.entries, query, policy)
             rows = [
                 {
                     "image_url": f"{fixture.url}/image/{e.path}",
@@ -88,6 +104,47 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(404, {"error": "unknown path"})
 
 
+class _Server(ThreadingHTTPServer):
+    """ThreadingHTTPServer that keeps its open connections and handler
+    threads, so close_connections() can end idle kept-alive ones."""
+
+    def __init__(self, address):
+        super().__init__(address, _Handler)
+        self._open: set[socket.socket] = set()
+        self._handlers: list[threading.Thread] = []
+        self._lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name=f"{THREAD_NAME}-handler",
+            daemon=True,
+        )
+        with self._lock:
+            self._open.add(request)
+            self._handlers = [t for t in self._handlers if t.is_alive()]
+            self._handlers.append(thread)
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut every open connection down and wait for every handler to end."""
+        with self._lock:
+            sockets, handlers = list(self._open), list(self._handlers)
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it first
+        for thread in handlers:
+            thread.join(timeout)
+
+
 class HistoryFixtureServer:
     """Threaded archive server; use as a context manager in tests.
 
@@ -103,7 +160,7 @@ class HistoryFixtureServer:
         self.force_history_status: int | None = None
         self._counters = {"history": 0, "image": 0}
         self._lock = threading.Lock()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _Server((host, port))
         self._httpd.fixture = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
@@ -125,13 +182,19 @@ class HistoryFixtureServer:
             }
 
     def start(self) -> "HistoryFixtureServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short poll interval keeps stop() quick: shutdown() waits for it.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, name=f"{THREAD_NAME}-serve", daemon=True
+        )
         self._thread.start()
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then close every open connection, idle kept-alive
+        ones included, so no client is answered after stop() returns."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections(timeout=5)
         if self._thread:
             self._thread.join(timeout=5)
 

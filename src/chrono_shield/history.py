@@ -2,14 +2,16 @@
 
 An archive is a directory with a manifest.json (a JSON array of
 {"path", "date", "lat", "lon", "heading"}) plus image files. The remote
-protocol is GET {endpoint}/history?lat=..&lon=..&heading=..&max=..
+protocol is GET {endpoint}/history?lat=..&lon=..[&heading=..][&max=..]
 [&before=YYYY-MM-DD] returning the same rows with image_url instead of
-path. Matching is geometric only: haversine radius, heading tolerance,
-optional date bound; results come back newest-first.
+path; without heading the server matches any heading, without max it
+returns every match. Matching is geometric only: haversine radius,
+heading tolerance, optional date bound; results come back newest-first.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -28,6 +30,10 @@ from .raster import RasterImage
 log = logging.getLogger(__name__)
 
 EARTH_RADIUS_M = 6371.0 * 1000.0
+
+# Largest response body the remote client reads, in bytes; a longer one is
+# refused with ProtocolError before it is held in memory.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class ManifestMissing(FileNotFoundError):
@@ -117,15 +123,19 @@ def heading_delta_deg(a: float, b: float) -> float:
 
 def _parse_entry(row, path_key: str) -> ManifestEntry:
     try:
-        return ManifestEntry(
+        entry = ManifestEntry(
             path=str(row[path_key]),
             capture_date=date.fromisoformat(str(row["date"])),
             lat=float(row["lat"]),
             lon=float(row["lon"]),
             heading=float(row["heading"]),
         )
+        _check_location((entry.lat, entry.lon))
+        if not math.isfinite(entry.heading):
+            raise ValueError(f"heading {entry.heading} is not finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestMalformed(f"bad manifest row {row!r}: {exc}") from exc
+    return entry
 
 
 def parse_manifest(text: str, path_key: str = "path") -> list[ManifestEntry]:
@@ -141,12 +151,20 @@ def parse_manifest(text: str, path_key: str = "path") -> list[ManifestEntry]:
     return [_parse_entry(row, path_key) for row in doc]
 
 
+@functools.lru_cache(maxsize=1)
+def _parse_archive_manifest(text: str) -> tuple[ManifestEntry, ...]:
+    return tuple(parse_manifest(text))
+
+
 def load_manifest(root) -> list[ManifestEntry]:
+    """The archive's manifest rows. The file is read on every call; only
+    the parse of the text last read is kept, so an edited file is parsed
+    afresh."""
     path = os.path.join(root, "manifest.json")
     if not os.path.exists(path):
         raise ManifestMissing(f"no manifest.json under {root}")
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+        return list(_parse_archive_manifest(fh.read()))
 
 
 def filter_entries(
@@ -155,8 +173,15 @@ def filter_entries(
     policy: MatchPolicy = MatchPolicy(),
 ) -> list[ManifestEntry]:
     """Radius + heading + date filter, newest first, capped at max_records."""
+    # Great-circle distance is at least R * |dlat|, so a row further off in
+    # latitude than the radius spans is out of range without a haversine.
+    # The relative and absolute slack cover rounding in both computations.
+    qlat = query.location[0]
+    lat_span = math.degrees(policy.radius_m / EARTH_RADIUS_M) * (1 + 1e-6) + 1e-9
     kept = []
     for e in entries:
+        if abs(e.lat - qlat) > lat_span:
+            continue
         if haversine_m(query.location, (e.lat, e.lon)) > policy.radius_m:
             continue
         if heading_delta_deg(e.heading, query.heading) > policy.heading_tol_deg:
@@ -244,13 +269,18 @@ def _drop_corrupt(path: str, exc: Exception) -> None:
 class RemoteHistoryClient:
     """HTTP history client with an on-disk response cache.
 
-    Query responses are keyed by the exact query parameters sent, so a
-    cached answer is the one the server gave for that request; images are
-    keyed by their URL. Cache files are written atomically and only after
-    a fully successful fetch, so a failed call never leaves partial cache
-    state, and an entry that no longer parses is deleted and fetched
-    again. Per-image fetch failures are skipped and counted in
-    last_failures ("what succeeded plus a warning count");
+    Each query fetches its location's whole neighbourhood: /history with
+    lat, lon and before only, so the server matches any heading and caps
+    nothing. That response is cached under exactly those parameters and
+    query() applies the full filter to it, so a warm cache answers any
+    heading or max_records at a location with the records a cold query
+    would get. Images are keyed by their URL. Requests reuse the session's
+    kept-alive connections, and every body is read in chunks and refused
+    with ProtocolError past MAX_BODY_BYTES. Cache files are written
+    atomically and only after a fully successful fetch, so a failed call
+    never leaves partial cache state, and an entry that no longer parses
+    is deleted and fetched again. Per-image fetch failures are skipped and
+    counted in last_failures ("what succeeded plus a warning count");
     last_network_requests says whether the previous query touched the
     network at all.
     """
@@ -272,21 +302,28 @@ class RemoteHistoryClient:
 
     # -- network
 
-    def _get(self, url: str, params=None) -> requests.Response:
+    def _get(self, url: str, params=None) -> tuple[int, bytes]:
+        """Status and body of GET url. A body over MAX_BODY_BYTES raises
+        ProtocolError and closes its connection instead of returning it
+        to the pool."""
         self.last_network_requests += 1
         try:
-            return self.session.get(url, params=params, timeout=self.timeout)
+            with self.session.get(url, params=params, timeout=self.timeout, stream=True) as resp:
+                chunks, size = [], 0
+                for chunk in resp.iter_content(1 << 16):
+                    size += len(chunk)
+                    if size > MAX_BODY_BYTES:
+                        raise ProtocolError(f"GET {url} body exceeds {MAX_BODY_BYTES} bytes")
+                    chunks.append(chunk)
+                return resp.status_code, b"".join(chunks)
         except requests.RequestException as exc:
             raise NetworkUnreachable(f"GET {url} failed: {exc}") from exc
 
     def _fetch_manifest(self, query: HistoryQuery) -> list[ManifestEntry]:
+        """Every row the server matches within its radius of the query's
+        location, any heading, uncapped."""
         lat, lon = query.location
-        params = {
-            "lat": f"{lat:.6f}",
-            "lon": f"{lon:.6f}",
-            "heading": f"{query.heading:.2f}",
-            "max": str(query.max_records),
-        }
+        params = {"lat": f"{lat:.6f}", "lon": f"{lon:.6f}"}
         if query.before is not None:
             params["before"] = query.before.isoformat()
         cache_path = self._cache_path("queries", urlencode(params), ".json")
@@ -297,17 +334,17 @@ class RemoteHistoryClient:
                 return parse_manifest(data.decode("utf-8"), path_key="image_url")
             except (UnicodeDecodeError, ManifestMalformed) as exc:
                 _drop_corrupt(cache_path, exc)
-        resp = self._get(self.endpoint + "/history", params=params)
-        if resp.status_code >= 500:
-            raise NetworkUnreachable(f"history endpoint returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProtocolError(f"history endpoint returned {resp.status_code}")
+        status, body = self._get(self.endpoint + "/history", params=params)
+        if status >= 500:
+            raise NetworkUnreachable(f"history endpoint returned {status}")
+        if status != 200:
+            raise ProtocolError(f"history endpoint returned {status}")
         try:
-            entries = parse_manifest(resp.text, path_key="image_url")
-        except ManifestMalformed as exc:
+            entries = parse_manifest(body.decode("utf-8"), path_key="image_url")
+        except (UnicodeDecodeError, ManifestMalformed) as exc:
             raise ProtocolError(str(exc)) from exc
         if cache_path:
-            _atomic_write(cache_path, resp.content)
+            _atomic_write(cache_path, body)
         return entries
 
     def _fetch_image(self, url: str) -> RasterImage | None:
@@ -319,17 +356,17 @@ class RemoteHistoryClient:
                 return codecs.decode_image(data, codecs.sniff_format(data))
             except ValueError as exc:
                 _drop_corrupt(cache_path, exc)
-        resp = self._get(url)
-        if resp.status_code != 200:
-            log.warning("image fetch %s returned %s", url, resp.status_code)
+        status, body = self._get(url)
+        if status != 200:
+            log.warning("image fetch %s returned %s", url, status)
             return None
         try:
-            img = codecs.decode_image(resp.content, codecs.sniff_format(resp.content))
+            img = codecs.decode_image(body, codecs.sniff_format(body))
         except ValueError as exc:
             log.warning("image fetch %s undecodable: %s", url, exc)
             return None
         if cache_path:
-            _atomic_write(cache_path, resp.content)
+            _atomic_write(cache_path, body)
         return img
 
     def query(self, query: HistoryQuery) -> list[HistoricalRecord]:

@@ -147,6 +147,29 @@ def haversine_law_of_cosines(a: tuple[float, float], b: tuple[float, float]) -> 
     return 6371_000.0 * math.acos(min(1.0, max(-1.0, cosc)))
 
 
+def haversine_filter(entries, location, heading, max_records, before, radius_m, heading_tol_deg) -> list:
+    """History match by brute force: the half-angle haversine distance of
+    every row, with no shortcut, written with the same float operations as
+    the package so a row at exactly radius_m compares bit for bit; then the
+    wrapped heading difference, the strict date bound, newest first (path
+    breaking ties, descending) and the cap."""
+    lat1, lon1 = math.radians(location[0]), math.radians(location[1])
+    kept = []
+    for e in entries:
+        lat2, lon2 = math.radians(e.lat), math.radians(e.lon)
+        h = math.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2) ** 2
+        if 2 * 6371_000.0 * math.asin(math.sqrt(h)) > radius_m:
+            continue
+        turn = abs(e.heading - heading) % 360.0
+        if min(turn, 360.0 - turn) > heading_tol_deg:
+            continue
+        if before is not None and not e.capture_date < before:
+            continue
+        kept.append(e)
+    kept.sort(key=lambda e: (e.capture_date, e.path), reverse=True)
+    return kept[:max_records]
+
+
 def png_forward_filter(ftype: int, cur: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:
     """Apply a PNG scanline filter in the forward (encoding) direction."""
     out = np.zeros_like(cur)

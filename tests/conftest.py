@@ -1,9 +1,11 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from chrono_shield.fixture_server import THREAD_NAME
 from chrono_shield.raster import RasterImage
 
 settings.register_profile(
@@ -17,6 +19,16 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_fixture_server_thread_left():
+    """Fail a test that leaves a HistoryFixtureServer thread alive: stop()
+    must end every connection handler, idle kept-alive ones included."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith(THREAD_NAME) and t not in before]
+    assert not left, f"fixture-server threads still alive after the test: {left}"
 
 
 @pytest.fixture

@@ -539,8 +539,9 @@ class TestCli:
         assert cli._parse_label("stop") == 0
         assert cli._parse_label("railroad") == 15
         assert cli._parse_label("7") == 7
-        with pytest.raises(ValueError):
-            cli._parse_label("not_a_sign")
+        for text in ("not_a_sign", "16", "-1"):
+            with pytest.raises(ValueError):
+                cli._parse_label(text)
 
     def test_synth_wrote_loadable_dataset(self, cli_workspace):
         _, _, out = cli_workspace
@@ -635,6 +636,15 @@ class TestCli:
         "no-manifest": ["defend", "--history", "{empty_dir}"],
         "bad-manifest": ["defend", "--history", "{bad_archive}"],
         "unreachable": ["defend", "--history", "http://127.0.0.1:1"],
+        "attack-missing-image": ["attack", "--image", "{missing}"],
+        "attack-unreadable-image": ["attack", "--image", "{not_image}"],
+        "attack-missing-mask": ["attack", "--mask", "{missing}"],
+        "defend-missing-image": ["defend", "--history", "{empty_dir}", "--image", "{missing}"],
+        "mask-missing-image": ["mask", "{missing}"],
+        "mask-unreadable-image": ["mask", "{not_image}"],
+        "label-name": ["attack", "--label", "bogus"],
+        "label-16": ["attack", "--label", "16"],
+        "label-negative": ["attack", "--label", "-1"],
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -647,18 +657,23 @@ class TestCli:
         (tmp_path / "empty").mkdir()
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "manifest.json").write_text("not json")
+        (tmp_path / "not_image.png").write_bytes(b"not an image")
         paths = dict(
             small_mask=tmp_path / "small_mask.png",
             black_mask=tmp_path / "black_mask.png",
             empty_dir=tmp_path / "empty",
             bad_archive=tmp_path / "bad",
+            missing=tmp_path / "missing.png",
+            not_image=tmp_path / "not_image.png",
         )
         command, *extra = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
-        where = ["--label", "stop"] if command == "attack" else ["--lat", "40", "--lon", "-74", "--heading", "90"]
-        rc = cli.main(
-            ["--out", str(tmp_path / "o"), command, "--model", str(out / "weights.csw"),
-             "--image", str(sign), *where, *extra]
-        )
+        if command == "mask":
+            argv = [command, *extra]
+        else:
+            # A later --image or --label in extra overrides these.
+            where = ["--label", "stop"] if command == "attack" else ["--lat", "40", "--lon", "-74", "--heading", "90"]
+            argv = [command, "--model", str(out / "weights.csw"), "--image", str(sign), *where, *extra]
+        rc = cli.main(["--out", str(tmp_path / "o"), *argv])
         err = capsys.readouterr().err
         assert rc == 2
-        assert len(err.splitlines()) == 1 and err.startswith(("no attack: ", "no history: "))
+        assert len(err.splitlines()) == 1 and err.startswith(("no attack: ", "no history: ", "bad input: "))

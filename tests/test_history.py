@@ -1,15 +1,23 @@
 """Geo matching, archive/remote history retrieval, fixture server, cache."""
 
+import contextlib
+import http.client
+import itertools
 import json
 import os
 import threading
+import tracemalloc
 from datetime import date
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chrono_shield import history
 from chrono_shield.fixture_server import HistoryFixtureServer
 from chrono_shield.history import (
     HistoricalRecord,
@@ -33,8 +41,44 @@ from chrono_shield.history import (
 )
 from chrono_shield.synth import make_history_archive
 
-from _oracles import haversine_law_of_cosines
+from _oracles import haversine_filter, haversine_law_of_cosines
 from conftest import flat_image
+
+
+def answer(records):
+    """What a history query returns, images compared by their bytes."""
+    return [(r.capture_date, r.location, r.heading, r.image.pixels.tobytes()) for r in records]
+
+
+@contextlib.contextmanager
+def raw_server(routes):
+    """A bare HTTP/1.0 server answering GET path -> routes[path](base_url)
+    with a 200 and the chunks that call yields, streamed with no
+    Content-Length; a client that hangs up mid-body ends the reply."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *a):
+            pass
+
+        def do_GET(self):
+            self.send_response(200)
+            self.end_headers()
+            try:
+                for chunk in routes[urlparse(self.path).path](base):
+                    self.wfile.write(chunk)
+            except ConnectionError:
+                pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    base = f"http://127.0.0.1:{httpd.server_address[1]}"
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield base
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +173,36 @@ class TestManifest:
         with pytest.raises(ManifestMissing):
             load_manifest(tmp_path)
 
+    BAD_NUMBERS = [
+        ("lat", "inf"), ("lat", "-inf"), ("lat", "nan"), ("lat", 90.5),
+        ("lon", "inf"), ("lon", "nan"), ("lon", -180.5),
+        ("heading", "inf"), ("heading", "nan"),
+    ]
+
+    @pytest.mark.parametrize("field, value", BAD_NUMBERS)
+    def test_non_finite_or_out_of_range_number_is_malformed(self, field, value):
+        with pytest.raises(ManifestMalformed):
+            parse_manifest(json.dumps([{**GOOD_ROW, field: value}]))
+
+    @pytest.mark.parametrize("field, value", BAD_NUMBERS)
+    def test_remote_non_finite_number_is_protocol_error(self, field, value):
+        row = {**GOOD_ROW, field: value}
+        row["image_url"] = row.pop("path")
+        with raw_server({"/history": lambda base: [json.dumps([row]).encode()]}) as url:
+            with pytest.raises(ProtocolError):
+                RemoteHistoryClient(url).query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+
+    def test_edited_manifest_is_read_again(self, tmp_path):
+        # Only the parse of the text last read is kept: rewriting the file
+        # between two loads changes the second answer.
+        rows = [GOOD_ROW, {**GOOD_ROW, "path": "b.png", "date": "2020-11-21"}]
+        (tmp_path / "manifest.json").write_text(json.dumps(rows))
+        first = load_manifest(tmp_path)
+        first.clear()  # a caller's list is its own
+        assert [e.path for e in load_manifest(tmp_path)] == ["a.png", "b.png"]
+        (tmp_path / "manifest.json").write_text(json.dumps(rows[:1]))
+        assert [e.path for e in load_manifest(tmp_path)] == ["a.png"]
+
 
 # ---------------------------------------------------------------------------
 # Filtering
@@ -175,6 +249,44 @@ class TestFilterEntries:
         q = HistoryQuery(location=(40.0, -74.0), heading=90.0, max_records=2)
         kept = filter_entries(rows, q)
         assert [e.path for e in kept] == ["5.png", "4.png"]
+
+    @settings(max_examples=300)
+    @given(
+        qlat=st.one_of(st.floats(-90.0, 90.0), st.sampled_from([90.0, -90.0, 89.9999, -89.9999, 0.0])),
+        qlon=st.one_of(st.floats(-180.0, 180.0), st.sampled_from([180.0, -180.0, 179.9999, -179.9999])),
+        rows=st.lists(
+            st.tuples(
+                st.floats(-5e-4, 5e-4),  # latitude offset, degrees (~55 m)
+                st.floats(-5e-4, 5e-4),  # longitude offset
+                st.floats(0.0, 360.0),
+                st.integers(2015, 2024),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        at_radius=st.integers(0, 11),
+        max_records=st.integers(1, 12),
+    )
+    def test_matches_haversine_oracle(self, qlat, qlon, rows, at_radius, max_records):
+        # Rows scatter around the query, clamped at the poles and wrapped
+        # across the antimeridian; the radius is either the default or
+        # exactly one row's distance, so that row sits on the boundary.
+        entries = [
+            entry(
+                path=f"{i}.png",
+                when=date(year, 1, 1),
+                lat=min(max(qlat + dlat, -90.0), 90.0),
+                lon=(qlon + dlon + 180.0) % 360.0 - 180.0,
+                heading=heading,
+            )
+            for i, (dlat, dlon, heading, year) in enumerate(rows)
+        ]
+        edge = entries[at_radius % len(entries)]
+        q = HistoryQuery(location=(qlat, qlon), heading=90.0, max_records=max_records)
+        for radius in (25.0, haversine_m((qlat, qlon), (edge.lat, edge.lon))):
+            policy = MatchPolicy(radius_m=radius)
+            want = haversine_filter(entries, q.location, q.heading, max_records, None, radius, policy.heading_tol_deg)
+            assert filter_entries(entries, q, policy) == want
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +442,70 @@ class TestFixtureServer:
         assert len(records) == 2
         assert client.last_failures == 1
 
+    def test_connection_is_kept_alive(self, archive):
+        root, _ = archive
+        with HistoryFixtureServer(root) as server:
+            where = urlparse(server.url)
+            conn = http.client.HTTPConnection(where.hostname, where.port, timeout=5)
+            try:
+                socks = []
+                for _ in range(2):
+                    conn.request("GET", "/stats")
+                    resp = conn.getresponse()
+                    assert resp.status == 200 and json.loads(resp.read())["hits"] == 0
+                    assert not resp.will_close
+                    socks.append(conn.sock)
+                assert socks[0] is not None and socks[1] is socks[0]
+            finally:
+                conn.close()
+
+    def test_stop_closes_pooled_connections(self, archive):
+        root, coords = archive
+        server = HistoryFixtureServer(root).start()
+        try:
+            client = RemoteHistoryClient(server.url, timeout=2)
+            assert len(client.query(fresh_query(coords))) == 3  # leaves a pooled connection
+        finally:
+            server.stop()
+        with pytest.raises(NetworkUnreachable):
+            client.query(fresh_query(coords))
+
+    def test_history_without_heading_or_max_is_the_whole_neighbourhood(self, archive):
+        root, coords = archive
+        lat, lon, _ = coords[0]
+        with HistoryFixtureServer(root) as server:
+            params = {"lat": lat, "lon": lon}
+            rows = requests.get(server.url + "/history", params=params, timeout=5).json()
+            capped = requests.get(server.url + "/history", params={**params, "heading": 270, "max": 2}, timeout=5).json()
+        assert len(rows) == 3 and capped == []
+
+    @pytest.mark.parametrize("route", ["history", "image"])
+    def test_oversized_body_is_refused_in_bounded_memory(self, monkeypatch, tmp_path, route):
+        cap = 1 << 20
+        monkeypatch.setattr(history, "MAX_BODY_BYTES", cap)
+        chunk = bytes(1 << 16)
+
+        def oversized(base):
+            return [chunk] * (16 * cap // len(chunk))
+
+        def one_row(base):
+            return [json.dumps([{**GOOD_ROW, "image_url": base + "/image/a.png"}]).encode()]
+
+        routes = {"/history": oversized} if route == "history" else {"/history": one_row, "/image/a.png": oversized}
+        cache = tmp_path / "cache"
+        with raw_server(routes) as url:
+            client = RemoteHistoryClient(url, cache_dir=cache)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ProtocolError):
+                    client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * cap
+        kind = "queries" if route == "history" else "images"
+        assert not (cache / kind).exists() or list((cache / kind).iterdir()) == []
+
     def test_stats_route_shape(self, archive):
         root, _ = archive
         with HistoryFixtureServer(root) as server:
@@ -344,28 +520,10 @@ class TestFixtureServer:
             assert resp.status_code in (403, 404)
 
     def test_garbage_history_body_is_protocol_error(self):
-        class Garbage(BaseHTTPRequestHandler):
-            def log_message(self, *a):
-                pass
-
-            def do_GET(self):
-                body = b"this is not json"
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Garbage)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            url = f"http://127.0.0.1:{httpd.server_address[1]}"
+        with raw_server({"/history": lambda base: [b"this is not json"]}) as url:
             q = HistoryQuery(location=(40.0, -74.0), heading=90.0)
             with pytest.raises(ProtocolError):
                 RemoteHistoryClient(url).query(q)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
 
     def test_connection_refused_is_network_unreachable(self):
         q = HistoryQuery(location=(40.0, -74.0), heading=90.0)
@@ -381,7 +539,8 @@ class TestFixtureServer:
         # Sign 1 stands on sign 0's pole facing 150 degrees: a 100-degree
         # query sees only sign 0 (sign 1 is 50 degrees off), a 120-degree
         # query sees both. A warm cache must not answer the second query
-        # with the records fetched for the first.
+        # with the records fetched for the first; the second still fetches
+        # sign 1's images.
         root = tmp_path / "archive"
         coords = make_history_archive([0, 1], root, side=16, renders_per_sign=3, seed=0)
         lat, lon, _ = coords[0]
@@ -391,15 +550,49 @@ class TestFixtureServer:
                 row.update(lat=lat, lon=lon, heading=150.0)
         (root / "manifest.json").write_text(json.dumps(rows))
 
-        def answer(records):
-            return [(r.capture_date, r.location, r.heading, r.image) for r in records]
-
         with HistoryFixtureServer(root) as server:
             client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
             for heading in (100.0, 120.0):
                 q = HistoryQuery(location=(lat, lon), heading=heading, before=date(2025, 1, 1))
                 assert answer(client.query(q)) == answer(query_archive(str(root), q))
                 assert client.last_network_requests > 0
+
+
+    def test_warm_cache_answers_any_heading_without_requests(self, tmp_path):
+        # Three signs share one pole at drawn headings. The cold pass asks
+        # at each sign's own heading with no cap, which fetches every image;
+        # after that a fresh client on the same cache answers any heading
+        # and cap exactly as query_archive does, with no request at all.
+        root = tmp_path / "archive"
+        coords = make_history_archive([0, 1, 2], root, side=16, renders_per_sign=3, seed=0)
+        lat, lon, _ = coords[0]
+        rows = json.loads((root / "manifest.json").read_text())
+        caches = itertools.count()
+        headings = st.floats(0.0, 360.0, exclude_max=True)
+
+        @settings(max_examples=25)
+        @given(poles=st.lists(headings, min_size=3, max_size=3), warm=st.lists(st.tuples(headings, st.integers(1, 9)), max_size=6))
+        def check(poles, warm):
+            for row in rows:
+                row.update(lat=lat, lon=lon, heading=poles[int(row["path"][4:8])])
+            (root / "manifest.json").write_text(json.dumps(rows))
+            cache = tmp_path / f"cache-{next(caches)}"
+
+            def ask(client, heading, max_records):
+                q = HistoryQuery(location=(lat, lon), heading=heading, max_records=max_records, before=date(2025, 1, 1))
+                assert answer(client.query(q)) == answer(query_archive(str(root), q))
+                return client.last_network_requests
+
+            with HistoryFixtureServer(root) as server:
+                cold = RemoteHistoryClient(server.url, cache_dir=cache)
+                assert sum(ask(cold, heading, 9) for heading in poles) == 1 + len(rows)
+                after_cold = server.stats()
+                assert after_cold == {"hits": 1 + len(rows), "history": 1, "image": len(rows)}
+                again = RemoteHistoryClient(server.url, cache_dir=cache)
+                assert [ask(again, heading, cap) for heading, cap in warm] == [0] * len(warm)
+                assert server.stats() == after_cold
+
+        check()
 
 
 # ---------------------------------------------------------------------------
