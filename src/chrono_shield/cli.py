@@ -153,8 +153,11 @@ def _read_image(path):
 
 
 def _load_weights_file(path):
-    with open(path, "rb") as fh:
-        return load_weights(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            return load_weights(fh.read())
+    except (OSError, ValueError) as exc:
+        raise BadInput(f"cannot load model {path}: {exc}") from exc
 
 
 def _out_file(out: str, default_name: str, exts=_IMAGE_EXTS) -> str:
@@ -261,13 +264,15 @@ def _cmd_defend(args) -> int:
         vote = dataclasses.replace(vote, min_history=args.min_history)
     weights = _load_weights_file(args.model)
     img = _read_image(args.image)
-    before = date.fromisoformat(args.before) if args.before else None
-    query = HistoryQuery(
-        location=(args.lat, args.lon),
-        heading=args.heading,
-        max_records=vote.min_history,
-        before=before,
-    )
+    try:
+        query = HistoryQuery(
+            location=(args.lat, args.lon),
+            heading=args.heading,
+            max_records=vote.min_history,
+            before=date.fromisoformat(args.before) if args.before else None,
+        )
+    except ValueError as exc:
+        raise BadInput(f"bad history query: {exc}") from exc
     try:
         if args.history.startswith(("http://", "https://")):
             client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import LabeledImageSet
+from .parallel import map_in_order, one_blas_thread, worker_count
 from .raster import RasterImage, resize_bilinear
 
 
@@ -185,16 +186,18 @@ def _conv_forward(x, w, b):
     return out, cols
 
 
-def _conv_backward(dout, cols, w, x_shape):
-    """(dx, dw, db); dx is None when x_shape is None (no input gradient wanted)."""
-    f = w.shape[0]
-    dflat = dout.reshape(dout.shape[0], f, -1)
-    dw = np.einsum("nfp,ncp->fc", dflat, cols).reshape(w.shape)
-    db = dout.sum(axis=(0, 2, 3))
-    if x_shape is None:
-        return None, dw, db
-    dcols = w.reshape(f, -1).T @ dflat
-    return _col2im(dcols, x_shape), dw, db
+def _conv_input_grad(dz, w):
+    """Gradient of a conv layer's input: the adjoint GEMM, then _col2im."""
+    n, f, h, width = dz.shape
+    dcols = w.reshape(f, -1).T @ dz.reshape(n, f, h * width)
+    return _col2im(dcols, (n, w.shape[1], h, width))
+
+
+def _conv_weight_grad(dz, cols, out):
+    """Gradient of a conv layer's weights as (f, c*9), written to out; dz
+    may hold any slice of the filter axis, and out is that slice's rows."""
+    n, f, h, width = dz.shape
+    return np.einsum("nfp,ncp->fc", dz.reshape(n, f, h * width), cols, out=out)
 
 
 def _pool_forward(x):
@@ -205,10 +208,11 @@ def _pool_forward(x):
     )
 
 
-def _pool_backward(dout, r, p):
+def _pool_backward(dout, r, p, out=None):
     """Route each pooled gradient to its window's max in r; on ties the
     first phase in row-major window order wins, so exactly one input does."""
-    dr = np.zeros_like(r, dtype=dout.dtype)
+    dr = np.empty(r.shape, dtype=dout.dtype) if out is None else out
+    dr.fill(0)
     taken = np.zeros(p.shape, dtype=bool)
     for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
         hit = (r[..., dy::2, dx::2] == p) & ~taken
@@ -226,7 +230,7 @@ def _net_forward(weights: ModelWeights, x: np.ndarray, want_cache: bool = False)
         r = np.maximum(z, 0, out=z)
         p = _pool_forward(r)
         if want_cache:
-            caches.append((a.shape, cols, r, p))
+            caches.append((cols, r, p))
         a = p
     n = a.shape[0]
     flat = a.reshape(n, -1)
@@ -242,21 +246,50 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _chunks(size: int) -> list[slice]:
+    """worker_count(size) contiguous slices that cover range(size)."""
+    k = worker_count(size)
+    bounds = [size * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _net_backward(weights: ModelWeights, dlogits: np.ndarray, cache):
+    """Parameter gradients of one batch, on one chunk per worker.
+
+    The per-sample chain (pool backward, input gradient) runs on batch
+    chunks, and each layer's weight gradient on chunks of its filter axis.
+    No sum crosses a chunk, so the bytes do not depend on the chunk count.
+    """
     caches, flat, pooled_shape = cache
     grads = {}
     grads["fc_w"] = dlogits.T @ flat
     grads["fc_b"] = dlogits.sum(axis=0)
     da = (dlogits @ weights.fc_w).reshape(pooled_shape)
-    for layer in (3, 2, 1):
-        x_shape, cols, r, p = caches[layer - 1]
-        # r = max(z, 0), so r > 0 exactly where z > 0.
-        dz = _pool_backward(da, r, p) * (r > 0)
-        w = getattr(weights, f"conv{layer}_w")
-        # Nothing reads the gradient of the input image, so conv1 skips it.
-        da, dw, db = _conv_backward(dz, cols, w, x_shape if layer > 1 else None)
-        grads[f"conv{layer}_w"] = dw
-        grads[f"conv{layer}_b"] = db
+    conv_w = [weights.conv1_w, weights.conv2_w, weights.conv3_w]
+    dz = [np.empty(r.shape, dtype=da.dtype) for _, r, _ in caches]
+    dw = [np.empty((len(w), w[0].size), dtype=da.dtype) for w in conv_w]
+
+    def chain(rows):
+        d = da[rows]
+        for i in (2, 1, 0):
+            _, r, p = caches[i]
+            # The ReLU mask at pooled size: r = max(z, 0), so a window's max
+            # is positive exactly where the z it routes to is.
+            _pool_backward(d * (p[rows] > 0), r[rows], p[rows], out=dz[i][rows])
+            if i:  # nothing reads the gradient of the input image, so conv1 skips it
+                d = _conv_input_grad(dz[i][rows], conv_w[i])
+
+    def weight_grad(job):
+        i, filters = job
+        cols = caches[i][0]
+        _conv_weight_grad(dz[i][:, filters], cols, out=dw[i][filters])
+
+    map_in_order(chain, _chunks(len(da)))
+    # The largest layer first, so the workers finish together.
+    map_in_order(weight_grad, [(i, filters) for i in (2, 1, 0) for filters in _chunks(len(conv_w[i]))])
+    for i, w in enumerate(conv_w, 1):
+        grads[f"conv{i}_w"] = dw[i - 1].reshape(w.shape)
+        grads[f"conv{i}_b"] = dz[i - 1].sum(axis=(0, 2, 3))
     return grads
 
 
@@ -318,12 +351,17 @@ def _xent_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / n
 
 
+@one_blas_thread()
 def train(
     dataset: LabeledImageSet,
     config: TrainConfig = TrainConfig(),
     model: ModelConfig = ModelConfig(),
 ) -> ModelWeights:
-    """Minibatch SGD with momentum over the dataset's train split."""
+    """Minibatch SGD with momentum over the dataset's train split.
+
+    OpenBLAS runs one thread for the whole call: each backward pass splits
+    its work over both cores itself (_net_backward).
+    """
     items = dataset.split("train")
     if not items:
         raise EmptyDataset("no training items")

@@ -87,6 +87,8 @@ class HistoryQuery:
 
     def __post_init__(self):
         _check_location(self.location)
+        if not math.isfinite(self.heading):
+            raise ValueError(f"heading {self.heading} is not finite")
         if self.max_records < 1:
             raise ValueError("max_records must be >= 1")
 

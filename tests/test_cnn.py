@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chrono_shield.cnn as cnn_module
+from chrono_shield import parallel
 from chrono_shield.cnn import (
     BadMagic,
     ChecksumMismatch,
@@ -195,13 +196,13 @@ class TestKernels:
         dout = rng.integers(-3, 4, size=(2, 4, 4, 6)).astype(dtype)
         _, cols = cnn_module._conv_forward(x, w, np.zeros(4, dtype=dtype))
         want_dx, want_dw, want_db = direct_conv3x3_backward(x, w, dout)
-        dx, dw, db = cnn_module._conv_backward(dout, cols, w, x.shape)
-        assert np.array_equal(dx, want_dx)
-        assert np.array_equal(dw, want_dw)
-        assert np.array_equal(db, want_db)
-        # Without an input shape the input gradient is skipped, nothing else changes.
-        no_dx, dw2, db2 = cnn_module._conv_backward(dout, cols, w, None)
-        assert no_dx is None and np.array_equal(dw2, dw) and np.array_equal(db2, db)
+        assert np.array_equal(cnn_module._conv_input_grad(dout, w), want_dx)
+        # The weight gradient written one slice of filters at a time is the whole layer's.
+        dw = np.empty((4, 27), dtype=dtype)
+        for filters in (slice(0, 1), slice(1, 4)):
+            cnn_module._conv_weight_grad(dout[:, filters], cols, out=dw[filters])
+        assert np.array_equal(dw.reshape(w.shape), want_dw)
+        assert np.array_equal(dout.sum(axis=(0, 2, 3)), want_db)  # db as _net_backward takes it
 
     def test_pool_first_max_wins(self, rng, dtype):
         x = rng.integers(0, 3, size=(2, 3, 6, 8)).astype(dtype)
@@ -210,6 +211,21 @@ class TestKernels:
         out = cnn_module._pool_forward(x)
         assert out.dtype == dtype and np.array_equal(out, want_out)
         assert np.array_equal(cnn_module._pool_backward(dout, x, out), want_dx)
+
+    def test_pool_relu_mask_at_pooled_size(self, rng, dtype):
+        # _net_backward masks the pooled gradient by p > 0 rather than the
+        # routed one by r > 0: same bytes, under ties, negative gradients and signed zeros.
+        r = np.maximum(rng.integers(-3, 3, size=(3, 4, 8, 10)), 0).astype(dtype)
+        p = cnn_module._pool_forward(r)
+        dout = rng.normal(size=p.shape).astype(dtype)
+        dout.flat[::5] = -0.0
+        dout.flat[1::5] = 0.0
+        windows = r.reshape(3, 4, 4, 2, 5, 2)
+        tied = ((windows == p[:, :, :, None, :, None]).sum(axis=(3, 5)) > 1).mean()
+        assert tied > 0.3 and (dout < 0).any() and (np.signbit(dout) & (dout == 0)).any()
+        masked = cnn_module._pool_backward(dout * (p > 0), r, p)
+        assert masked.tobytes() == (cnn_module._pool_backward(dout, r, p) * (r > 0)).tobytes()
+        assert np.array_equal(masked, first_max_pool2x2(r, dout)[1] * (r > 0))
 
     def test_pool_all_tied_window_routes_to_top_left(self, dtype):
         x = np.ones((1, 1, 2, 2), dtype=dtype)
@@ -276,6 +292,76 @@ class TestTraining:
         ds.items.append((flat_image(1), 2, "train"))
         with pytest.raises(LabelOutOfRange):
             train(ds, TrainConfig(epochs=1), TINY)  # TINY has 2 classes
+
+
+# ---------------------------------------------------------------------------
+# Both cores in one training step
+
+
+def blocky_batch(rng, n: int, side: int) -> np.ndarray:
+    """Frames of constant 4x4 blocks: interior conv outputs of a block are
+    equal, so many pooling windows hold tied maxima."""
+    return np.kron(rng.random((n, 3, side // 4, side // 4)), np.ones((4, 4))).astype(np.float32)
+
+
+class TestBothCores:
+    MODEL = ModelConfig(input_side=16, channels=(4, 6, 8), num_classes=3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32])
+    def test_net_backward_bytes_match_across_chunk_counts(self, cpus, monkeypatch, rng, n):
+        cpus(2)
+        w = init_weights(self.MODEL, seed=1)
+        logits, cache = cnn_module._net_forward(w, blocky_batch(rng, n, 16), want_cache=True)
+        _, r, p = cache[0][0]
+        assert (r[..., 0::2, 0::2] == r[..., 1::2, 1::2]).mean() > 0.1  # tied windows
+        dlogits = rng.normal(size=logits.shape).astype(np.float32) / n
+        grads = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "MAX_WORKERS", workers)
+            assert len(cnn_module._chunks(n)) == min(workers, n)
+            grads[workers] = cnn_module._net_backward(w, dlogits, cache)
+        assert grads[1].keys() == grads[2].keys()
+        for name, g in grads[1].items():
+            assert g.dtype == np.float32 and g.tobytes() == grads[2][name].tobytes(), name
+
+    def test_train_bytes_match_across_worker_counts(self, cpus, monkeypatch):
+        cpus(2)
+        ds = toy_brightness_dataset(n_train=45)  # batches of 8 leave a last batch of 5
+        config = TrainConfig(epochs=2, batch_size=8, seed=2)
+        saved = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "MAX_WORKERS", workers)
+            saved[workers] = save_weights(train(ds, config, TINY))
+        assert saved[1] == saved[2]
+
+    @pytest.mark.skipif(parallel._openblas() is None, reason="no handle on numpy's bundled OpenBLAS")
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_openblas_one_thread_inside_train_and_restored(self, cpus, monkeypatch, diverge):
+        cpus(2)
+        get, set_ = parallel._openblas()
+        before = get()
+        set_(2)
+        seen = []
+        real_backward = cnn_module._net_backward
+
+        def spy(*args):
+            seen.append(get())
+            grads = real_backward(*args)
+            # NaN gradients make the next step's loss NaN, and train raises.
+            return {name: g * np.nan for name, g in grads.items()} if diverge else grads
+
+        monkeypatch.setattr(cnn_module, "_net_backward", spy)
+        config = TrainConfig(epochs=1, batch_size=8, seed=0)
+        try:
+            if diverge:
+                with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="diverged"):
+                    train(toy_brightness_dataset(), config, TINY)
+            else:
+                train(toy_brightness_dataset(), config, TINY)
+            assert seen and set(seen) == {1}
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,10 @@ class TestCli:
         "label-name": ["attack", "--label", "bogus"],
         "label-16": ["attack", "--label", "16"],
         "label-negative": ["attack", "--label", "-1"],
+        "attack-missing-model": ["attack", "--model", "{missing_model}"],
+        "attack-corrupt-model": ["attack", "--model", "{corrupt_model}"],
+        "defend-missing-model": ["defend", "--history", "{empty_dir}", "--model", "{missing_model}"],
+        "defend-corrupt-model": ["defend", "--history", "{empty_dir}", "--model", "{corrupt_model}"],
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -658,6 +662,8 @@ class TestCli:
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "manifest.json").write_text("not json")
         (tmp_path / "not_image.png").write_bytes(b"not an image")
+        weights = (out / "weights.csw").read_bytes()
+        (tmp_path / "corrupt.csw").write_bytes(weights[:-5] + bytes([weights[-5] ^ 1]) + weights[-4:])
         paths = dict(
             small_mask=tmp_path / "small_mask.png",
             black_mask=tmp_path / "black_mask.png",
@@ -665,15 +671,30 @@ class TestCli:
             bad_archive=tmp_path / "bad",
             missing=tmp_path / "missing.png",
             not_image=tmp_path / "not_image.png",
+            missing_model=tmp_path / "missing.csw",
+            corrupt_model=tmp_path / "corrupt.csw",
         )
         command, *extra = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
         if command == "mask":
             argv = [command, *extra]
         else:
-            # A later --image or --label in extra overrides these.
+            # A later --model, --image or --label in extra overrides these.
             where = ["--label", "stop"] if command == "attack" else ["--lat", "40", "--lon", "-74", "--heading", "90"]
             argv = [command, "--model", str(out / "weights.csw"), "--image", str(sign), *where, *extra]
         rc = cli.main(["--out", str(tmp_path / "o"), *argv])
         err = capsys.readouterr().err
         assert rc == 2
         assert len(err.splitlines()) == 1 and err.startswith(("no attack: ", "no history: ", "bad input: "))
+
+    @pytest.mark.parametrize("flag, value", [("--heading", "nan"), ("--heading", "-inf"), ("--before", "2025-13-01")])
+    def test_bad_history_query_is_bad_input(self, cli_workspace, tmp_path, rng, capsys, flag, value):
+        # Refused before the history is read, so the empty archive is never reached.
+        _, _, out = cli_workspace
+        sign = tmp_path / "sign.png"
+        save_image(render_sign(0, 64, rng), str(sign))
+        (tmp_path / "empty").mkdir()
+        argv = ["defend", "--model", str(out / "weights.csw"), "--image", str(sign), "--history", str(tmp_path / "empty"),
+                "--lat", "40", "--lon", "-74", "--heading", "90", f"{flag}={value}"]
+        rc = cli.main(["--out", str(tmp_path / "o"), *argv])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and err.startswith("bad input: bad history query: ")

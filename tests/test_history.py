@@ -132,6 +132,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             HistoryQuery(location=(0.0, 0.0), heading=0.0, max_records=0)
 
+    @pytest.mark.parametrize("heading", [float("nan"), float("inf"), float("-inf")])
+    def test_query_rejects_non_finite_heading(self, heading):
+        # A NaN heading would match every row: NaN > tolerance is false.
+        with pytest.raises(ValueError, match="not finite"):
+            HistoryQuery(location=(40.0, -74.0), heading=heading)
+
 
 # ---------------------------------------------------------------------------
 # Manifest parsing
@@ -478,6 +484,14 @@ class TestFixtureServer:
             rows = requests.get(server.url + "/history", params=params, timeout=5).json()
             capped = requests.get(server.url + "/history", params={**params, "heading": 270, "max": 2}, timeout=5).json()
         assert len(rows) == 3 and capped == []
+
+    @pytest.mark.parametrize("heading", ["nan", "inf", "-inf"])
+    def test_history_with_non_finite_heading_is_400(self, archive, heading):
+        root, coords = archive
+        lat, lon, _ = coords[0]
+        with HistoryFixtureServer(root) as server:
+            resp = requests.get(server.url + "/history", params={"lat": lat, "lon": lon, "heading": heading}, timeout=5)
+        assert resp.status_code == 400 and "not finite" in resp.json()["error"]
 
     @pytest.mark.parametrize("route", ["history", "image"])
     def test_oversized_body_is_refused_in_bounded_memory(self, monkeypatch, tmp_path, route):
