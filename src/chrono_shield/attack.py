@@ -23,7 +23,7 @@ class InvalidConfig(ValueError):
 
 
 class DegenerateMask(ValueError):
-    """Attack requested with an all-false mask: nowhere to place a shadow."""
+    """A mask the attack cannot use: all false, or not the image's size."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def run_attack(
     victim's true-class probability, or (margin) true-class minus best-other.
     """
     if (mask.height, mask.width) != (img.height, img.width):
-        raise ValueError("mask and image dimensions differ")
+        raise DegenerateMask("mask and image dimensions differ")
     if not mask.bits.any():
         raise DegenerateMask("mask has no true bits")
     if config.fitness not in ("true_prob", "margin"):

@@ -18,7 +18,7 @@ import os
 import sys
 from datetime import date
 
-from .attack import AttackConfig, run_attack
+from .attack import AttackConfig, DegenerateMask, InvalidConfig, run_attack
 from .cnn import (
     Classifier,
     ModelConfig,
@@ -29,7 +29,7 @@ from .cnn import (
     train,
 )
 from .codecs import load_image, save_image
-from .configfile import UnknownConfigKey, apply_overrides, parse_config_file
+from .configfile import BadConfigLine, UnknownConfigKey, apply_overrides, parse_config_file
 from .dataset import load_dataset, save_dataset
 from .defense import VotePolicy, defend, format_verdict
 from .fixture_server import HistoryFixtureServer
@@ -44,7 +44,8 @@ from .history import (
     RemoteHistoryClient,
     query_archive,
 )
-from .masks import BinaryMask, MaskParams, NoContourFound, generate_mask
+from .masks import BinaryMask, InvalidThresholds, MaskParams, NoContourFound, generate_mask
+from .raster import InvalidSigma
 from .synth import CLASS_NAMES, SynthConfig, synth_dataset
 
 log = logging.getLogger("chrono_shield")
@@ -105,7 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _configs(args):
     """Stage configs from the config file, then the --seed override;
     a key outside the stage namespaces raises UnknownConfigKey."""
-    values = parse_config_file(args.config) if args.config else {}
+    try:
+        values = parse_config_file(args.config) if args.config else {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadInput(f"cannot read config {args.config}: {exc}") from exc
     stages = {
         "synth": SynthConfig(),
         "train": TrainConfig(),
@@ -129,8 +133,19 @@ def _configs(args):
 
 
 class BadInput(ValueError):
-    """A command-line input the command cannot use; main() prints it as
-    one stderr line and exits 2."""
+    """A command-line input the command cannot use, with the file or flag
+    it came from."""
+
+
+# What a command raises for input it cannot use. main() prints each as one
+# stderr line and exits 2; every other exception is a bug and propagates.
+_INPUT_ERRORS = (
+    BadInput,
+    NoContourFound, InvalidThresholds, InvalidSigma,
+    DegenerateMask, InvalidConfig,
+    ManifestMissing, ManifestMalformed, NetworkUnreachable, ProtocolError,
+    BadConfigLine, UnknownConfigKey,
+)
 
 
 def _parse_label(text: str) -> int:
@@ -158,6 +173,29 @@ def _load_weights_file(path):
             return load_weights(fh.read())
     except (OSError, ValueError) as exc:
         raise BadInput(f"cannot load model {path}: {exc}") from exc
+
+
+def _attack_mask(path, img) -> tuple[BinaryMask, str]:
+    """The mask file at path, else img's generated mask, else the full
+    frame, with a note for the report line when it is the full frame."""
+    if path:
+        return BinaryMask.from_image(_read_image(path)), ""
+    try:
+        return generate_mask(img), ""
+    except NoContourFound:
+        return BinaryMask.full(img.width, img.height), " (full-frame mask: no contour found)"
+
+
+def _history_query(args, max_records: int) -> HistoryQuery:
+    try:
+        return HistoryQuery(
+            location=(args.lat, args.lon),
+            heading=args.heading,
+            max_records=max_records,
+            before=date.fromisoformat(args.before) if args.before else None,
+        )
+    except ValueError as exc:
+        raise BadInput(f"bad history query: {exc}") from exc
 
 
 def _out_file(out: str, default_name: str, exts=_IMAGE_EXTS) -> str:
@@ -207,11 +245,7 @@ def _cmd_mask(args) -> int:
         params, **{k: v for k, v in overrides.items() if v is not None}
     )
     img = _read_image(args.image)
-    try:
-        mask = generate_mask(img, params)
-    except NoContourFound as exc:
-        print(f"no mask: {exc}", file=sys.stderr)
-        return 2
+    mask = generate_mask(img, params)
     path = _out_file(args.out, "mask.png")
     save_image(mask.to_image(), path)
     print(f"mask: {mask.count} of {img.width * img.height} pixels -> {path}")
@@ -230,20 +264,8 @@ def _cmd_attack(args) -> int:
     weights = _load_weights_file(args.model)
     img = _read_image(args.image)
     label = _parse_label(args.label)
-    note = ""
-    if args.mask:
-        mask = BinaryMask.from_image(_read_image(args.mask))
-    else:
-        try:
-            mask = generate_mask(img)
-        except NoContourFound:
-            mask = BinaryMask.full(img.width, img.height)
-            note = " (full-frame mask: no contour found)"
-    try:
-        result = run_attack(img, mask, Classifier(weights), label, acfg)
-    except ValueError as exc:  # mask size, empty mask, attack config
-        print(f"no attack: {exc}", file=sys.stderr)
-        return 2
+    mask, note = _attack_mask(args.mask, img)
+    result = run_attack(img, mask, Classifier(weights), label, acfg)
     path = _out_file(args.out, "adversarial.png")
     save_image(result.adversarial_image, path)
     before = result.original_prediction
@@ -264,24 +286,12 @@ def _cmd_defend(args) -> int:
         vote = dataclasses.replace(vote, min_history=args.min_history)
     weights = _load_weights_file(args.model)
     img = _read_image(args.image)
-    try:
-        query = HistoryQuery(
-            location=(args.lat, args.lon),
-            heading=args.heading,
-            max_records=vote.min_history,
-            before=date.fromisoformat(args.before) if args.before else None,
-        )
-    except ValueError as exc:
-        raise BadInput(f"bad history query: {exc}") from exc
-    try:
-        if args.history.startswith(("http://", "https://")):
-            client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)
-            records = client.query(query)
-        else:
-            records = query_archive(args.history, query, match)
-    except (ManifestMissing, ManifestMalformed, NetworkUnreachable, ProtocolError) as exc:
-        print(f"no history: {exc}", file=sys.stderr)
-        return 2
+    query = _history_query(args, vote.min_history)
+    if args.history.startswith(("http://", "https://")):
+        client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)
+        records = client.query(query)
+    else:
+        records = query_archive(args.history, query, match)
     verdict = defend(img, records, weights, vote)
     print(format_verdict(verdict, CLASS_NAMES))
     return 0
@@ -335,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BadInput as exc:
+    except _INPUT_ERRORS as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 

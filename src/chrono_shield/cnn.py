@@ -8,6 +8,7 @@ Everything is deterministic under the config seed.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -77,6 +78,7 @@ class Prediction:
 
 
 _TENSOR_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "conv3_w", "conv3_b", "fc_w", "fc_b")
+_TENSOR_RANKS = (4, 1, 4, 1, 4, 1, 2, 1)
 
 
 @dataclass
@@ -505,16 +507,20 @@ def load_weights(data: bytes) -> ModelWeights:
     pos = 12
     end = len(data) - 4
     tensors = []
-    for _ in range(count):
+    for name, want in zip(_TENSOR_ORDER, _TENSOR_RANKS):
         if pos + 1 > end:
             raise ShapeMismatch("tensor table overruns payload")
         (rank,) = struct.unpack("<B", data[pos : pos + 1])
         pos += 1
+        if rank != want:
+            raise ShapeMismatch(f"{name}: expected rank {want}, got {rank}")
         if pos + 4 * rank > end:
             raise ShapeMismatch("tensor shape overruns payload")
         shape = struct.unpack(f"<{rank}I", data[pos : pos + 4 * rank])
         pos += 4 * rank
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        if 0 in shape:
+            raise ShapeMismatch(f"{name}: zero extent in {shape}")
+        size = math.prod(shape)
         if pos + 4 * size > end:
             raise ShapeMismatch("tensor data overruns payload")
         arr = np.frombuffer(data[pos : pos + 4 * size], dtype="<f4").reshape(shape)

@@ -17,7 +17,8 @@ class BadConfigLine(ValueError):
 
 
 class UnknownConfigKey(KeyError):
-    pass
+    def __str__(self):  # KeyError's own str() is the repr of its message
+        return str(self.args[0])
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -65,10 +66,11 @@ def _coerce(value: str, annotation) -> object:
         if low in _FALSE:
             return False
         raise BadConfigLine(f"expected a boolean, got {value!r}")
-    if annotation is int:
-        return int(value)
-    if annotation is float:
-        return float(value)
+    if annotation in (int, float):
+        try:
+            return annotation(value)
+        except ValueError:
+            raise BadConfigLine(f"expected {annotation.__name__}, got {value!r}") from None
     return value
 
 
@@ -92,7 +94,10 @@ def apply_overrides(config, values: dict[str, str], prefix: str = ""):
             continue
         if name not in fields:
             raise UnknownConfigKey(f"{key!r} does not match a field of {type(config).__name__}")
-        updates[name] = _coerce(value, hints[fields[name].name])
+        try:
+            updates[name] = _coerce(value, hints[fields[name].name])
+        except BadConfigLine as exc:
+            raise BadConfigLine(f"{key}: {exc}") from None
     if not updates:
         return config
     return dataclasses.replace(config, **updates)

@@ -52,10 +52,6 @@ class ProtocolError(ValueError):
     """The endpoint answered, but not with the expected shape."""
 
 
-class InvalidRoute(ValueError):
-    pass
-
-
 def _check_location(location: tuple[float, float]) -> None:
     lat, lon = location
     if not -90.0 <= lat <= 90.0:
@@ -146,6 +142,8 @@ def parse_manifest(text: str, path_key: str = "path") -> list[ManifestEntry]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestMalformed(f"manifest is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ManifestMalformed("manifest nests too deeply to parse") from None
     if isinstance(doc, dict):
         doc = doc.get("entries")
     if not isinstance(doc, list):
@@ -382,50 +380,3 @@ class RemoteHistoryClient:
         records, self.last_failures = _records(entries, self._fetch_image, "remote")
         return records
 
-
-# ---------------------------------------------------------------------------
-# Route prefetch
-
-
-@dataclass(frozen=True)
-class PrefetchReport:
-    fetched: int  # waypoints that needed the network
-    cached: int  # waypoints served without any network traffic
-    failed: int
-
-
-def prefetch_route(
-    target: str,
-    waypoints: list[tuple[float, float, float]],
-    max_records: int = 3,
-    before: date | None = None,
-    cache_dir=None,
-    policy: MatchPolicy = MatchPolicy(),
-) -> PrefetchReport:
-    """Warm the history cache along a route of (lat, lon, heading) points.
-
-    target is an http(s) endpoint or a local archive directory; local
-    archives need no fetching, so their waypoints count as cached. The
-    call is idempotent: a second run over a warm cache fetches nothing.
-    """
-    if not waypoints:
-        raise InvalidRoute("route has no waypoints")
-    remote = target.startswith("http://") or target.startswith("https://")
-    client = RemoteHistoryClient(target, cache_dir=cache_dir, policy=policy) if remote else None
-    fetched = cached = failed = 0
-    for lat, lon, heading in waypoints:
-        q = HistoryQuery(location=(lat, lon), heading=heading, max_records=max_records, before=before)
-        try:
-            if client is not None:
-                client.query(q)
-                if client.last_network_requests > 0:
-                    fetched += 1
-                else:
-                    cached += 1
-            else:
-                query_archive(target, q, policy)
-                cached += 1
-        except (NetworkUnreachable, ProtocolError, ManifestMissing, ManifestMalformed) as exc:
-            log.warning("prefetch failed at (%s, %s): %s", lat, lon, exc)
-            failed += 1
-    return PrefetchReport(fetched=fetched, cached=cached, failed=failed)

@@ -1,5 +1,8 @@
+import math
 import os
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -39,6 +42,17 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     return set_cpus
+
+
+def csw1_container(shapes, payloads=None) -> bytes:
+    """A CRC-valid CSW1 weight file written field by field: one tensor per
+    extents tuple, its data zeros unless payloads gives the bytes."""
+    if payloads is None:
+        payloads = [bytes(4 * math.prod(shape)) for shape in shapes]
+    body = b"CSW1" + struct.pack("<II", 1, len(shapes))
+    for shape, payload in zip(shapes, payloads):
+        body += struct.pack(f"<B{len(shape)}I", len(shape), *shape) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def flat_image(value: int, width: int = 8, height: int = 8, channels: int = 3) -> RasterImage:

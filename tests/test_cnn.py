@@ -35,7 +35,7 @@ from chrono_shield.dataset import LabeledImageSet
 from chrono_shield.raster import RasterImage
 
 from _oracles import direct_bilinear, direct_conv3x3, direct_conv3x3_backward, first_max_pool2x2
-from conftest import flat_image, random_image
+from conftest import csw1_container, flat_image, random_image
 
 TINY = ModelConfig(input_side=8, channels=(4, 8, 8), num_classes=2)
 
@@ -420,6 +420,8 @@ class TestWeightFormat:
         assert struct.unpack("<I", data[8:12])[0] == 8  # tensor count
         stored = struct.unpack("<I", data[-4:])[0]
         assert stored == zlib.crc32(data[:-4])
+        tensors = init_weights(TINY, seed=0).tensors()
+        assert data == csw1_container([t.shape for t in tensors], [t.astype("<f4").tobytes() for t in tensors])
 
     def test_bad_magic(self):
         data = bytearray(save_weights(init_weights(TINY, seed=0)))
@@ -451,6 +453,25 @@ class TestWeightFormat:
         body += struct.pack("<I", zlib.crc32(bytes(body)))
         with pytest.raises(ShapeMismatch):
             load_weights(bytes(body))
+
+    def test_rank_0_tensors_are_shape_mismatch(self):
+        # Checked before load_weights reads conv3's and fc's extents.
+        with pytest.raises(ShapeMismatch, match="expected rank 4, got 0"):
+            load_weights(csw1_container([()] * 8))
+
+    def test_extents_whose_product_wraps_int64_are_shape_mismatch(self):
+        # 65536**4 == 2**64 is 0 in int64 arithmetic; its data would overrun.
+        shapes = [(65536,) * 4, (1,), (1, 1, 3, 3), (1,), (1, 1, 3, 3), (1,), (1, 1), (1,)]
+        with pytest.raises(ShapeMismatch, match="tensor data overruns payload"):
+            load_weights(csw1_container(shapes, [b""] * 8))
+
+    @pytest.mark.parametrize(
+        "conv3, classes", [(0, 2), (8, 0)], ids=["no-conv3-channels", "no-classes"]
+    )
+    def test_zero_extent_is_shape_mismatch(self, conv3, classes):
+        shapes = [(4, 3, 3, 3), (4,), (8, 4, 3, 3), (8,), (conv3, 8, 3, 3), (conv3,), (classes, conv3), (classes,)]
+        with pytest.raises(ShapeMismatch, match="zero extent"):
+            load_weights(csw1_container(shapes))
 
     def test_predictions_survive_round_trip(self, rng):
         w = init_weights(TINY, seed=6)

@@ -44,7 +44,7 @@ from chrono_shield.synth import (
     synth_dataset,
 )
 
-from conftest import flat_image
+from conftest import csw1_container, flat_image
 
 TINY_MODEL = ModelConfig(input_side=16, channels=(4, 4, 4), num_classes=16)
 
@@ -184,6 +184,11 @@ class TestConfigFile:
     def test_bad_bool_rejected(self):
         with pytest.raises(BadConfigLine):
             apply_overrides(AttackConfig(), {"attack.early_stop": "maybe"}, "attack")
+
+    @pytest.mark.parametrize("key, value", [("swarm", "abc"), ("inertia", "fast"), ("swarm", "1.5")])
+    def test_non_numeric_number_rejected(self, key, value):
+        with pytest.raises(BadConfigLine, match=repr(value)):
+            apply_overrides(AttackConfig(), {f"attack.{key}": value}, "attack")
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +626,18 @@ class TestCli:
         assert "verdict:" in capsys.readouterr().out
         assert len(os.listdir(dest / "cache" / "queries")) == 1
 
-    @pytest.mark.parametrize("line", ["atack.swarm = 6", "seed = 3"])
-    def test_unknown_config_namespace_rejected(self, tmp_path, line):
+    @pytest.mark.parametrize(
+        "line", ["atack.swarm = 6", "seed = 3", "attack.swarm 6", "attack.swarm = abc", pytest.param(None, id="missing-file")]
+    )
+    def test_unknown_config_namespace_rejected(self, tmp_path, capsys, line):
+        # Refused before the mask command reaches its (missing) image.
         cfg = tmp_path / "typo.cfg"
-        cfg.write_text(line + "\n")
-        with pytest.raises(UnknownConfigKey):
-            cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "mask", str(tmp_path / "none.png")])
+        if line is not None:
+            cfg.write_text(line + "\n")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "mask", str(tmp_path / "none.png")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and err.startswith("bad input: ")
+        assert "none.png" not in err
 
     BAD_INPUTS = {
         "mask-size": ["attack", "--mask", "{small_mask}"],
@@ -649,6 +660,10 @@ class TestCli:
         "attack-corrupt-model": ["attack", "--model", "{corrupt_model}"],
         "defend-missing-model": ["defend", "--history", "{empty_dir}", "--model", "{missing_model}"],
         "defend-corrupt-model": ["defend", "--history", "{empty_dir}", "--model", "{corrupt_model}"],
+        "mask-thresholds": ["mask", "{sign}", "--low", "5", "--high", "1"],
+        "mask-sigma": ["mask", "{sign}", "--sigma", "-1"],
+        "deep-manifest": ["defend", "--history", "{deep_archive}"],
+        "rank0-model": ["attack", "--model", "{rank0_model}"],
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -661,10 +676,14 @@ class TestCli:
         (tmp_path / "empty").mkdir()
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "manifest.json").write_text("not json")
+        (tmp_path / "deep").mkdir()
+        (tmp_path / "deep" / "manifest.json").write_text("[" * 100000 + "]" * 100000)
+        (tmp_path / "rank0.csw").write_bytes(csw1_container([()] * 8))
         (tmp_path / "not_image.png").write_bytes(b"not an image")
         weights = (out / "weights.csw").read_bytes()
         (tmp_path / "corrupt.csw").write_bytes(weights[:-5] + bytes([weights[-5] ^ 1]) + weights[-4:])
         paths = dict(
+            sign=sign,
             small_mask=tmp_path / "small_mask.png",
             black_mask=tmp_path / "black_mask.png",
             empty_dir=tmp_path / "empty",
@@ -673,6 +692,8 @@ class TestCli:
             not_image=tmp_path / "not_image.png",
             missing_model=tmp_path / "missing.csw",
             corrupt_model=tmp_path / "corrupt.csw",
+            deep_archive=tmp_path / "deep",
+            rank0_model=tmp_path / "rank0.csw",
         )
         command, *extra = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
         if command == "mask":

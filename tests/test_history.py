@@ -22,13 +22,11 @@ from chrono_shield.fixture_server import HistoryFixtureServer
 from chrono_shield.history import (
     HistoricalRecord,
     HistoryQuery,
-    InvalidRoute,
     ManifestEntry,
     ManifestMalformed,
     ManifestMissing,
     MatchPolicy,
     NetworkUnreachable,
-    PrefetchReport,
     ProtocolError,
     RemoteHistoryClient,
     filter_entries,
@@ -36,7 +34,6 @@ from chrono_shield.history import (
     heading_delta_deg,
     load_manifest,
     parse_manifest,
-    prefetch_route,
     query_archive,
 )
 from chrono_shield.synth import make_history_archive
@@ -169,6 +166,7 @@ class TestManifest:
             json.dumps({"version": 1}),  # dict without entries
             json.dumps([{"path": "a.png"}]),  # row missing fields
             json.dumps([{**GOOD_ROW, "date": "not-a-date"}]),
+            pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),  # deeper than json can recurse
         ],
     )
     def test_malformed(self, text):
@@ -608,32 +606,3 @@ class TestFixtureServer:
 
         check()
 
-
-# ---------------------------------------------------------------------------
-# Route prefetch
-
-
-class TestPrefetchRoute:
-    def test_empty_route_invalid(self, tmp_path):
-        with pytest.raises(InvalidRoute):
-            prefetch_route("http://127.0.0.1:1", [], cache_dir=tmp_path)
-
-    def test_remote_idempotent(self, archive, tmp_path):
-        root, coords = archive
-        cache = tmp_path / "route-cache"
-        with HistoryFixtureServer(root) as server:
-            first = prefetch_route(server.url, coords, cache_dir=cache)
-            second = prefetch_route(server.url, coords, cache_dir=cache)
-        assert first == PrefetchReport(fetched=3, cached=0, failed=0)
-        assert second == PrefetchReport(fetched=0, cached=3, failed=0)
-
-    def test_local_archive_counts_as_cached(self, archive):
-        root, coords = archive
-        report = prefetch_route(root, coords)
-        assert report == PrefetchReport(fetched=0, cached=3, failed=0)
-
-    def test_unreachable_endpoint_counts_failures(self, archive):
-        _, coords = archive
-        report = prefetch_route("http://127.0.0.1:1", coords[:2])
-        assert report.failed == 2
-        assert report.fetched == 0

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chrono_shield import harness
+from chrono_shield import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chrono_shield"
@@ -42,6 +42,21 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     src = "from __future__ import annotations\nimport os\nimport numpy as np\nfrom a import b, c\nnp.x(c)\n"
     assert unused_imports(src) == ["line 2: os", "line 4: b"]
+
+
+def test_cli_errors_leave_through_main_only():
+    """A command handles no exception itself (serve-fixture's ctrl-c stop
+    aside): main() turns the typed input errors into one stderr line and
+    exit 2, and lets everything else, bugs included, propagate."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    caught = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and (fn.name.startswith("_cmd_") or fn.name == "main"):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ExceptHandler):
+                    caught.setdefault(fn.name, []).append(ast.unparse(node.type) if node.type else "")
+    assert caught == {"_cmd_serve_fixture": ["KeyboardInterrupt"], "main": ["_INPUT_ERRORS"]}
+    assert all(exc.__module__.startswith("chrono_shield.") for exc in cli._INPUT_ERRORS)
 
 
 def test_readme_csv_header_matches_the_code():
