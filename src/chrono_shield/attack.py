@@ -126,9 +126,16 @@ def _shadow_batch(img: RasterImage, mask: BinaryMask, vertices: np.ndarray, dark
     area2 = np.array([abs(np.dot(vx[j], wy[j]) - np.dot(vy[j], wx[j])) for j in range(n)])
     sel[area2 < 1e-12] = False  # degenerate polygon: no-op
     sel &= bits[by0 : by1 + 1, bx0 : bx1 + 1]
+    # The composite window + sel * (shaded - window) in uint8, which wraps
+    # mod 256 and so gives shaded exactly where sel is 1. sel is copied
+    # into each channel so the arithmetic runs over whole bw*c rows.
     window = img.pixels[by0 : by1 + 1, bx0 : bx1 + 1]
     shaded = np.clip(np.rint(window.astype(np.float64) * darkening), 0, 255).astype(np.uint8)
-    np.copyto(out[:, by0 : by1 + 1, bx0 : bx1 + 1], shaded, where=sel[..., None])
+    step = np.empty((*sel.shape, img.channels), dtype=np.uint8)
+    for ch in range(img.channels):
+        step[..., ch] = sel.view(np.uint8)
+    step *= shaded - window
+    out[:, by0 : by1 + 1, bx0 : bx1 + 1] += step
     return out
 
 

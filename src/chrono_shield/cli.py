@@ -30,7 +30,7 @@ from .cnn import (
 )
 from .codecs import load_image, save_image
 from .configfile import BadConfigLine, UnknownConfigKey, apply_overrides, parse_config_file
-from .dataset import load_dataset, save_dataset
+from .dataset import DatasetMalformed, DatasetMissing, load_dataset, save_dataset
 from .defense import VotePolicy, defend, format_verdict
 from .fixture_server import HistoryFixtureServer
 from .harness import emit_report, run_full_sweep
@@ -45,7 +45,7 @@ from .history import (
     query_archive,
 )
 from .masks import BinaryMask, InvalidThresholds, MaskParams, NoContourFound, generate_mask
-from .raster import InvalidSigma
+from .raster import InvalidRadius, InvalidSigma
 from .synth import CLASS_NAMES, SynthConfig, synth_dataset
 
 log = logging.getLogger("chrono_shield")
@@ -141,8 +141,9 @@ class BadInput(ValueError):
 # stderr line and exits 2; every other exception is a bug and propagates.
 _INPUT_ERRORS = (
     BadInput,
-    NoContourFound, InvalidThresholds, InvalidSigma,
+    NoContourFound, InvalidThresholds, InvalidSigma, InvalidRadius,
     DegenerateMask, InvalidConfig,
+    DatasetMissing, DatasetMalformed,
     ManifestMissing, ManifestMalformed, NetworkUnreachable, ProtocolError,
     BadConfigLine, UnknownConfigKey,
 )

@@ -14,7 +14,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import LabeledImageSet
 from .parallel import map_in_order, one_blas_thread, worker_count
@@ -153,12 +152,32 @@ def init_weights(cfg: ModelConfig = ModelConfig(), seed: int = 0) -> ModelWeight
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    # x (N, C, H, W) -> (N, C*9, H*W) for a 3x3 kernel, stride 1, pad 1.
+    """x (N, C, H, W) -> (N, C*9, H*W) for a 3x3 kernel, stride 1, pad 1.
+
+    Row (c, k) holds tap k = 3*dy + dx, the plane read at (y+dy-1, x+dx-1),
+    zero where that falls outside the frame. Each tap is one flat copy of
+    the (N, C, H*W) planes shifted by (dy-1)*W + dx-1; the shift leaves
+    the rows shifted in, and wraps one column for a side tap, so those
+    are zeroed.
+    """
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    # windows[n, c, y, x, dy, dx] = xp[n, c, y + dy, x + dx], copied once in (n, c, dy, dx, y, x) order.
-    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * 9, h * w)
+    hw = h * w
+    planes = x.reshape(n, c, hw)
+    cols = np.empty((n, c, 9, hw), dtype=x.dtype)
+    for k in range(9):
+        sx = k % 3 - 1
+        s = (k // 3 - 1) * w + sx
+        tap = cols[:, :, k]
+        m = max(hw - abs(s), 0)  # pixels whose shifted read stays in the planes
+        if s >= 0:
+            tap[..., :m] = planes[..., hw - m :]
+            tap[..., m:] = 0
+        else:
+            tap[..., hw - m :] = planes[..., :m]
+            tap[..., : hw - m] = 0
+        if sx:
+            tap.reshape(n, c, h, w)[..., 0 if sx < 0 else w - 1] = 0
+    return cols.reshape(n, c * 9, hw)
 
 
 def _tap_slices(d: int, size: int) -> tuple[slice, slice]:
@@ -183,9 +202,9 @@ def _conv_forward(x, w, b):
     f = w.shape[0]
     cols = _im2col(x)
     w2 = w.reshape(f, c * 9)
-    out = (w2 @ cols).reshape(n, f, h, width)
-    out += b[None, :, None, None]
-    return out, cols
+    out = w2 @ cols
+    out += b[:, None]
+    return out.reshape(n, f, h, width), cols
 
 
 def _conv_input_grad(dz, w):
@@ -203,11 +222,9 @@ def _conv_weight_grad(dz, cols, out):
 
 
 def _pool_forward(x):
-    """2x2 max-pool, stride 2, as the max of the four strided phases."""
-    return np.maximum(
-        np.maximum(x[..., 0::2, 0::2], x[..., 0::2, 1::2]),
-        np.maximum(x[..., 1::2, 0::2], x[..., 1::2, 1::2]),
-    )
+    """2x2 max-pool, stride 2: the max of row pairs, then of column pairs."""
+    rows = np.maximum(x[..., 0::2, :], x[..., 1::2, :])
+    return np.maximum(rows[..., 0::2], rows[..., 1::2])
 
 
 def _pool_backward(dout, r, p, out=None):

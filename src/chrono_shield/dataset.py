@@ -14,6 +14,14 @@ from .codecs import load_image, save_image
 from .raster import RasterImage
 
 
+class DatasetMissing(FileNotFoundError):
+    """The dataset directory has no readable manifest.json."""
+
+
+class DatasetMalformed(ValueError):
+    """The manifest, an image it names or the items it lists cannot be used."""
+
+
 @dataclass
 class LabeledImageSet:
     """Images with integer labels and a train/test split tag per item."""
@@ -25,13 +33,13 @@ class LabeledImageSet:
         k = len(self.class_names)
         for _, label, split in self.items:
             if not 0 <= label < k:
-                raise ValueError(f"label {label} outside [0, {k})")
+                raise DatasetMalformed(f"label {label} outside [0, {k})")
             if split not in ("train", "test"):
-                raise ValueError(f"unknown split tag {split!r}")
+                raise DatasetMalformed(f"unknown split tag {split!r}")
         train_labels = {label for _, label, split in self.items if split == "train"}
         if self.split("train") and train_labels != set(range(k)):
             missing = sorted(set(range(k)) - train_labels)
-            raise ValueError(f"classes missing from train split: {missing}")
+            raise DatasetMalformed(f"classes missing from train split: {missing}")
 
     def split(self, tag: str) -> list[tuple[RasterImage, int]]:
         return [(img, label) for img, label, split in self.items if split == tag]
@@ -56,11 +64,30 @@ def save_dataset(ds: LabeledImageSet, root) -> None:
 
 
 def load_dataset(root) -> LabeledImageSet:
-    with open(os.path.join(root, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    ds = LabeledImageSet(class_names=list(manifest["classes"]))
-    for row in manifest["items"]:
-        img = load_image(os.path.join(root, row["path"]))
-        ds.items.append((img, int(row["label"]), row["split"]))
+    """The dataset save_dataset wrote to root. A missing manifest raises
+    DatasetMissing; a manifest that does not decode or lacks a key, an
+    image that does not load, no items at all or items that fail validate
+    raise DatasetMalformed."""
+    path = os.path.join(root, "manifest.json")
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DatasetMissing(f"no readable manifest.json under {root}: {exc}") from exc
+    try:
+        manifest = json.loads(text)
+        ds = LabeledImageSet(class_names=list(manifest["classes"]))
+        rows = [(str(row["path"]), int(row["label"]), row["split"]) for row in manifest["items"]]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise DatasetMalformed(f"bad dataset manifest {path}: {exc!r}") from exc
+    if not rows:
+        raise DatasetMalformed(f"dataset manifest {path} lists no items")
+    for rel, label, split in rows:
+        full = os.path.join(root, rel)
+        try:
+            img = load_image(full)
+        except (OSError, ValueError) as exc:
+            raise DatasetMalformed(f"cannot read dataset image {full}: {exc}") from exc
+        ds.items.append((img, label, split))
     ds.validate()
     return ds

@@ -22,7 +22,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from . import codecs
-from .history import HistoryQuery, MatchPolicy, filter_entries, load_manifest
+from .history import HistoryQuery, MatchPolicy, filter_entries, load_manifest, resolve_inside
 
 
 # Every thread a HistoryFixtureServer starts carries this name prefix.
@@ -90,8 +90,8 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path.startswith("/image/"):
             fixture.count("image")
             rel = unquote(parsed.path[len("/image/") :])
-            full = os.path.realpath(os.path.join(fixture.root, rel))
-            if not full.startswith(os.path.realpath(fixture.root) + os.sep):
+            full = resolve_inside(os.path.realpath(fixture.root), rel)
+            if full is None:
                 self._send_json(403, {"error": "path escapes archive"})
                 return
             try:

@@ -193,6 +193,14 @@ def filter_entries(
     return kept[: query.max_records]
 
 
+def resolve_inside(real_root: str, path: str) -> str | None:
+    """The real path of path joined to real_root (a realpath itself), or
+    None when it resolves outside real_root: an absolute path, a '..'
+    step or a symlink can each lead out of an archive."""
+    full = os.path.realpath(os.path.join(real_root, path))
+    return full if full.startswith(real_root + os.sep) else None
+
+
 def _records(entries: list[ManifestEntry], fetch, source: str) -> tuple[list[HistoricalRecord], int]:
     """Records for the entries whose image fetch(entry.path) returns, in
     entry order, and how many entries it returned None for."""
@@ -229,10 +237,16 @@ def query_archive(
 def _archive_records(
     root, entries: list[ManifestEntry], query: HistoryQuery, policy: MatchPolicy
 ) -> list[HistoricalRecord]:
-    """query_archive against entries already loaded from root's manifest."""
+    """query_archive against entries already loaded from root's manifest.
+    An entry whose path resolves outside root is skipped like an unreadable
+    image."""
+    real_root = os.path.realpath(root)
 
     def load(path: str) -> RasterImage | None:
-        full = os.path.join(root, path)
+        full = resolve_inside(real_root, path)
+        if full is None:
+            log.warning("skipping archive path %r: it resolves outside %s", path, real_root)
+            return None
         try:
             return codecs.load_image(full)
         except (OSError, ValueError) as exc:

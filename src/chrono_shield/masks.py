@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .raster import RasterImage, gaussian_blur, to_grayscale
+from .raster import InvalidRadius, RasterImage, gaussian_blur, to_grayscale
 
 
 class InvalidThresholds(ValueError):
@@ -201,7 +201,7 @@ def _erode_bits(bits: np.ndarray, k: int) -> np.ndarray:
 
 def _check_k(k: int) -> None:
     if k < 1:
-        raise ValueError(f"structuring-element half-width must be >= 1, got {k}")
+        raise InvalidRadius(f"structuring-element half-width must be >= 1, got {k}")
 
 
 def morph_dilate(mask: BinaryMask, k: int = 1) -> BinaryMask:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chrono_shield.cnn import Prediction
 
@@ -221,6 +222,16 @@ def direct_conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                                     acc += float(w[fi, ci, i, j]) * float(x[ni, ci, sy, sx])
                     out[ni, fi, y, xx] = acc
     return out
+
+
+def padded_im2col(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> (N, C*9, H*W) for a 3x3 kernel, stride 1, pad 1, by
+    zero-padding the frame and copying every 3x3 window out of it: row
+    (c, 3*dy + dx) holds padded[c, y + dy, x + dx] at column y*W + x."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (n, c, y, x, dy, dx)
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * 9, h * w)
 
 
 def direct_conv3x3_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):

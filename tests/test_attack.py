@@ -207,6 +207,36 @@ def test_shadow_batch_rows_match_direct_shadow(case):
         assert np.array_equal(row, want)
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("edge", ["full", "top-left", "bottom-right", "left-column", "bottom-row"])
+def test_shadow_batch_matches_direct_shadow_at_the_frame_edge(rng, channels, edge):
+    # Mask bounding boxes that touch the frame's border, on gray and RGB
+    # frames, with dark and saturated pixels where uint8 arithmetic wraps.
+    h, w = 24, 20
+    bits = np.zeros((h, w), dtype=bool)
+    region = {
+        "full": np.s_[:, :],
+        "top-left": np.s_[:9, :7],
+        "bottom-right": np.s_[11:, 8:],
+        "left-column": np.s_[3:20, :1],
+        "bottom-row": np.s_[h - 1 :, 2:17],
+    }[edge]
+    bits[region] = rng.random(bits[region].shape) < 0.8
+    bits[region][0, 0] = bits[region][-1, -1] = True  # the bbox is the whole region
+    img = random_image(rng, w, h, channels=channels)
+    px = img.pixels.copy()
+    px[::3, ::2] = 0
+    px[1::3, ::2] = 255
+    img = RasterImage(px)
+    verts = rng.random((12, 4, 2))
+    verts[0] = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    mask = BinaryMask(bits)
+    for darkening in (0.43, 1.0, 1e-3):
+        out = _shadow_batch(img, mask, verts, darkening)
+        for row, v in zip(out, verts):
+            assert np.array_equal(row, direct_shadow(img.pixels, bits, v, darkening))
+
+
 def test_shadow_batch_keeps_the_degenerate_area_rule():
     # A sliver with doubled area ~3e-13, under the 1e-12 cutoff, still holds
     # the pixel centres of row 6; the renderer and its wrapper leave it undrawn.

@@ -34,7 +34,7 @@ from chrono_shield.cnn import (
 from chrono_shield.dataset import LabeledImageSet
 from chrono_shield.raster import RasterImage
 
-from _oracles import direct_bilinear, direct_conv3x3, direct_conv3x3_backward, first_max_pool2x2
+from _oracles import direct_bilinear, direct_conv3x3, direct_conv3x3_backward, first_max_pool2x2, padded_im2col
 from conftest import csw1_container, flat_image, random_image
 
 TINY = ModelConfig(input_side=8, channels=(4, 8, 8), num_classes=2)
@@ -231,6 +231,19 @@ class TestKernels:
         x = np.ones((1, 1, 2, 2), dtype=dtype)
         dx = cnn_module._pool_backward(np.full((1, 1, 1, 1), 5, dtype=dtype), x, cnn_module._pool_forward(x))
         assert dx[0, 0].tolist() == [[5, 0], [0, 0]]
+
+    # Every batch and side the classifier runs, then frames so thin that
+    # a tap's shift passes the whole plane.
+    @pytest.mark.parametrize(
+        "shape",
+        [(n, 3, side, side) for n in (1, 4, 50) for side in (2, 8, 16, 32)]
+        + [(2, 2, h, w) for h, w in ((1, 1), (1, 5), (5, 1), (3, 7))],
+    )
+    def test_im2col_matches_padded_windows(self, rng, dtype, shape):
+        x = rng.normal(size=shape).astype(dtype)
+        cols = cnn_module._im2col(x)
+        assert cols.flags.c_contiguous and cols.dtype == dtype
+        assert cols.tobytes() == padded_im2col(x).tobytes()
 
 
 class TestSoftmax:

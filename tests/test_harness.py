@@ -664,6 +664,14 @@ class TestCli:
         "mask-sigma": ["mask", "{sign}", "--sigma", "-1"],
         "deep-manifest": ["defend", "--history", "{deep_archive}"],
         "rank0-model": ["attack", "--model", "{rank0_model}"],
+        "train-no-manifest": ["train", "--data", "{empty_dir}"],
+        "train-undecodable-manifest": ["train", "--data", "{bad_archive}"],
+        "train-missing-keys": ["train", "--data", "{data_no_items_key}"],
+        "train-unreadable-image": ["train", "--data", "{data_bad_image}"],
+        "train-no-items": ["train", "--data", "{data_empty}"],
+        "mask-blur-radius-0": ["--config", "{cfg_blur_radius_0}", "mask", "{sign}"],
+        "mask-dilate-k-0": ["--config", "{cfg_dilate_k_0}", "mask", "{sign}"],
+        "mask-close-k-0": ["--config", "{cfg_close_k_0}", "mask", "{sign}"],
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -680,6 +688,16 @@ class TestCli:
         (tmp_path / "deep" / "manifest.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "rank0.csw").write_bytes(csw1_container([()] * 8))
         (tmp_path / "not_image.png").write_bytes(b"not an image")
+        for name, manifest in (
+            ("data_no_items_key", {"classes": ["stop"]}),
+            ("data_bad_image", {"classes": ["stop"], "items": [{"path": "x.png", "label": 0, "split": "train"}]}),
+            ("data_empty", {"classes": ["stop"], "items": []}),
+        ):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "data_bad_image" / "x.png").write_bytes(b"not an image")
+        for key in ("blur_radius", "dilate_k", "close_k"):
+            (tmp_path / f"{key}_0.cfg").write_text(f"mask.{key} = 0\n")
         weights = (out / "weights.csw").read_bytes()
         (tmp_path / "corrupt.csw").write_bytes(weights[:-5] + bytes([weights[-5] ^ 1]) + weights[-4:])
         paths = dict(
@@ -694,14 +712,24 @@ class TestCli:
             corrupt_model=tmp_path / "corrupt.csw",
             deep_archive=tmp_path / "deep",
             rank0_model=tmp_path / "rank0.csw",
+            data_no_items_key=tmp_path / "data_no_items_key",
+            data_bad_image=tmp_path / "data_bad_image",
+            data_empty=tmp_path / "data_empty",
+            cfg_blur_radius_0=tmp_path / "blur_radius_0.cfg",
+            cfg_dilate_k_0=tmp_path / "dilate_k_0.cfg",
+            cfg_close_k_0=tmp_path / "close_k_0.cfg",
         )
-        command, *extra = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
-        if command == "mask":
-            argv = [command, *extra]
+        args = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
+        options = []  # options before the command
+        while args[0].startswith("--"):
+            options, args = options + args[:2], args[2:]
+        command, *extra = args
+        if command in ("mask", "train"):
+            argv = [*options, command, *extra]
         else:
             # A later --model, --image or --label in extra overrides these.
             where = ["--label", "stop"] if command == "attack" else ["--lat", "40", "--lon", "-74", "--heading", "90"]
-            argv = [command, "--model", str(out / "weights.csw"), "--image", str(sign), *where, *extra]
+            argv = [*options, command, "--model", str(out / "weights.csw"), "--image", str(sign), *where, *extra]
         rc = cli.main(["--out", str(tmp_path / "o"), *argv])
         err = capsys.readouterr().err
         assert rc == 2

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chrono_shield import history
+from chrono_shield.codecs import save_image
 from chrono_shield.fixture_server import HistoryFixtureServer
 from chrono_shield.history import (
     HistoricalRecord,
@@ -349,6 +350,31 @@ class TestQueryArchive:
         records = query_archive(str(clone), fresh_query(coords))
         assert len(records) == 2
         assert date(2019, 7, 3) not in {r.capture_date for r in records}
+
+    def test_paths_outside_the_archive_are_never_read(self, archive, tmp_path):
+        # One row inside the archive; the others name a valid image outside
+        # it by '..', by an absolute path and through a symlink. The fixture
+        # server refuses the escaping paths, and the local reader agrees.
+        _, coords = archive
+        lat, lon, heading = coords[0]
+        root = tmp_path / "arch"
+        root.mkdir()
+        outside = tmp_path / "outside.png"
+        save_image(flat_image(7, 8, 8), str(outside))
+        save_image(flat_image(200, 8, 8), str(root / "inside.png"))
+        (root / "link.png").symlink_to(outside)
+        paths = ["inside.png", "../outside.png", str(outside), "link.png"]
+        rows = [
+            {"path": p, "date": f"201{i}-01-01", "lat": lat, "lon": lon, "heading": heading}
+            for i, p in enumerate(paths)
+        ]
+        (root / "manifest.json").write_text(json.dumps(rows))
+        query = fresh_query(coords, max_records=len(paths))
+        local = query_archive(str(root), query)
+        with HistoryFixtureServer(root) as server:
+            remote = RemoteHistoryClient(server.url).query(query)
+        assert answer(local) == answer(remote)
+        assert [r.image.pixels[0, 0, 0] for r in local] == [200]
 
 
 class TestFixtureServer:

@@ -171,6 +171,32 @@ class TestResize:
         with pytest.raises(ValueError):
             resize_bilinear(np.zeros((2, 4, 4, 3)), 8, 8)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_two_to_one_matches_reference_for_every_block_sum(self, rng, channels):
+        # 2x2 block i of each channel sums to a distinct value of 0..1020,
+        # split at random over its four pixels.
+        sums = np.stack([rng.permutation(1021) for _ in range(channels)], axis=-1)
+        blocks = np.empty((1021, 4, channels), dtype=np.uint8)
+        for i, ch in np.ndindex(*sums.shape):
+            left = int(sums[i, ch])
+            for j in range(4):
+                lo, hi = max(0, left - 255 * (3 - j)), min(255, left)
+                blocks[i, j, ch] = v = rng.integers(lo, hi + 1)
+                left -= int(v)
+        px = blocks.reshape(1021, 2, 2, channels).transpose(1, 0, 2, 3).reshape(2, 2042, channels)
+        got = resize_bilinear(RasterImage(px), 1021, 1).pixels
+        assert np.array_equal(got, direct_bilinear(px, 1021, 1))
+        assert np.array_equal(got[0], np.rint(sums / 4))  # rint rounds half to even
+
+    @pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_two_to_one_stack_matches_reference(self, rng, lead, channels):
+        stack = rng.integers(0, 256, size=(*lead, 12, 18, channels), dtype=np.uint8)
+        got = resize_bilinear(stack, 9, 6)
+        assert got.shape == (*lead, 6, 9, channels) and got.dtype == np.uint8
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(got[idx], direct_bilinear(stack[idx], 9, 6))
+
     @given(
         n=st.integers(1, 5),
         h=st.integers(1, 70),
