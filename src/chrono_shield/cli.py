@@ -199,6 +199,19 @@ def _history_query(args, max_records: int) -> HistoryQuery:
         raise BadInput(f"bad history query: {exc}") from exc
 
 
+def _fit_model(mcfg: ModelConfig, ds, source: str) -> ModelConfig:
+    """mcfg with its input side cut to ds's frame height. A set the model
+    cannot train on raises BadInput naming source."""
+    if not ds.split("train"):
+        raise BadInput(f"{source} has no training items")
+    if len(ds.class_names) > mcfg.num_classes:
+        raise BadInput(f"{source} has {len(ds.class_names)} classes; the model takes at most {mcfg.num_classes}")
+    side = min(mcfg.input_side, ds.items[0][0].height)
+    if side < 8 or side % 8:
+        raise BadInput(f"{source} gives a {side} px input side; the model needs a positive multiple of 8")
+    return dataclasses.replace(mcfg, input_side=side)
+
+
 def _out_file(out: str, default_name: str, exts=_IMAGE_EXTS) -> str:
     """--out as a file when it has a matching extension, else a directory."""
     if out.endswith(exts):
@@ -224,8 +237,7 @@ def _cmd_train(args) -> int:
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     ds = load_dataset(args.data) if args.data else synth_dataset(scfg)
-    mcfg = dataclasses.replace(mcfg, input_side=min(mcfg.input_side, ds.items[0][0].height))
-    weights = train(ds, tcfg, mcfg)
+    weights = train(ds, tcfg, _fit_model(mcfg, ds, f"--data {args.data}" if args.data else "the synthetic set"))
     accuracy, loss = evaluate(weights, ds.split("test") or ds.split("train"))
     path = _out_file(args.out, "weights.csw", exts=(".csw",))
     with open(path, "wb") as fh:

@@ -222,6 +222,10 @@ def _decode_png(data: bytes) -> RasterImage:
     if not inflater.eof:
         raise MalformedFile("PNG IDAT does not inflate: incomplete or truncated stream")
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    if not rows[:, 0].any():
+        # Filter type 0 on every scanline (what _encode_png writes): the
+        # scanlines are the pixels.
+        return RasterImage(rows[:, 1:].reshape(height, width, channels))
     out = np.zeros((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for y in range(height):

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 from .codecs import load_image, save_image
+from .history import resolve_inside
 from .raster import RasterImage
 
 
@@ -66,8 +67,8 @@ def save_dataset(ds: LabeledImageSet, root) -> None:
 def load_dataset(root) -> LabeledImageSet:
     """The dataset save_dataset wrote to root. A missing manifest raises
     DatasetMissing; a manifest that does not decode or lacks a key, an
-    image that does not load, no items at all or items that fail validate
-    raise DatasetMalformed."""
+    image path that resolves outside root, an image that does not load,
+    no items at all or items that fail validate raise DatasetMalformed."""
     path = os.path.join(root, "manifest.json")
     try:
         with open(path, "rb") as fh:
@@ -82,8 +83,11 @@ def load_dataset(root) -> LabeledImageSet:
         raise DatasetMalformed(f"bad dataset manifest {path}: {exc!r}") from exc
     if not rows:
         raise DatasetMalformed(f"dataset manifest {path} lists no items")
+    real_root = os.path.realpath(root)
     for rel, label, split in rows:
-        full = os.path.join(root, rel)
+        full = resolve_inside(real_root, rel)
+        if full is None:
+            raise DatasetMalformed(f"dataset image path {rel!r} resolves outside {root}")
         try:
             img = load_image(full)
         except (OSError, ValueError) as exc:

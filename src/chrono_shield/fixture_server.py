@@ -4,10 +4,12 @@ Routes:
   GET /history?lat=..&lon=..[&heading=..][&max=..][&before=..] -> JSON rows
       {"image_url", "date", "lat", "lon", "heading"}; no heading matches
       any heading, no max returns every match
-  GET /image/<relpath>  -> the archive image transcoded to PNG
+  GET /image/<relpath>  -> the archive image as PNG: a stored PNG file's
+      own bytes, any other image transcoded
   GET /stats            -> {"hits", "history", "image"} request counters
 
-Connections are kept alive between requests (HTTP/1.1).
+Each image_url is relative to the server's base URL. Connections are kept
+alive between requests (HTTP/1.1).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from . import codecs
-from .history import HistoryQuery, MatchPolicy, filter_entries, load_manifest, resolve_inside
+from .history import HistoryQuery, MatchPolicy, dump_manifest, filter_entries, load_manifest, resolve_inside
 
 
 # Every thread a HistoryFixtureServer starts carries this name prefix.
@@ -32,8 +34,11 @@ THREAD_NAME = "history-fixture"
 class _Handler(BaseHTTPRequestHandler):
     server_version = "HistoryFixture/1"
     protocol_version = "HTTP/1.1"  # keep the connection open between requests
-    # Headers and body go out in two writes; with Nagle's algorithm on, the
-    # second waits for the client's delayed ACK of the first (~40 ms).
+    # Responses are buffered, and handle_one_request flushes each one, so
+    # headers and a body that fits the buffer leave in one write. A larger
+    # body follows the headers in a second write, which with Nagle's
+    # algorithm on would wait for the client's delayed ACK (~40 ms).
+    wbufsize = 1 << 16
     disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # keep test output quiet
@@ -75,31 +80,27 @@ class _Handler(BaseHTTPRequestHandler):
             if "heading" not in qs:
                 policy = dataclasses.replace(policy, heading_tol_deg=180.0)
             entries = filter_entries(fixture.entries, query, policy)
-            rows = [
-                {
-                    "image_url": f"{fixture.url}/image/{e.path}",
-                    "date": e.capture_date.isoformat(),
-                    "lat": e.lat,
-                    "lon": e.lon,
-                    "heading": e.heading,
-                }
-                for e in entries
-            ]
-            self._send_json(200, rows)
+            rows = [dataclasses.replace(e, path=f"image/{e.path}") for e in entries]
+            self._send(200, dump_manifest(rows, path_key="image_url"), "application/json")
             return
         if parsed.path.startswith("/image/"):
             fixture.count("image")
             rel = unquote(parsed.path[len("/image/") :])
-            full = resolve_inside(os.path.realpath(fixture.root), rel)
+            full = resolve_inside(fixture.real_root, rel)
             if full is None:
                 self._send_json(403, {"error": "path escapes archive"})
                 return
             try:
-                img = codecs.load_image(full)
+                with open(full, "rb") as fh:
+                    data = fh.read()
+                # A stored PNG goes out as it is; clients decode every body.
+                fmt = codecs.sniff_format(data)
+                if fmt != "png":
+                    data = codecs.encode_image(codecs.decode_image(data, fmt), "png")
             except (OSError, ValueError):
                 self._send_json(404, {"error": f"no readable image at {rel}"})
                 return
-            self._send(200, codecs.encode_image(img, "png"), "image/png")
+            self._send(200, data, "image/png")
             return
         self._send_json(404, {"error": "unknown path"})
 
@@ -148,13 +149,15 @@ class _Server(ThreadingHTTPServer):
 class HistoryFixtureServer:
     """Threaded archive server; use as a context manager in tests.
 
-    manifest.json is read once, at start, before the socket is bound: a
-    missing or malformed archive raises ManifestMissing or
-    ManifestMalformed here, and later edits to the manifest are not seen.
+    manifest.json is read and the root's real path resolved once, at
+    start, before the socket is bound: a missing or malformed archive
+    raises ManifestMissing or ManifestMalformed here, and later edits to
+    the manifest are not seen.
     """
 
     def __init__(self, root, host: str = "127.0.0.1", port: int = 0, policy: MatchPolicy = MatchPolicy()):
         self.root = str(root)
+        self.real_root = os.path.realpath(self.root)
         self.entries = load_manifest(self.root)
         self.policy = policy
         self.force_history_status: int | None = None

@@ -4,9 +4,10 @@ An archive is a directory with a manifest.json (a JSON array of
 {"path", "date", "lat", "lon", "heading"}) plus image files. The remote
 protocol is GET {endpoint}/history?lat=..&lon=..[&heading=..][&max=..]
 [&before=YYYY-MM-DD] returning the same rows with image_url instead of
-path; without heading the server matches any heading, without max it
-returns every match. Matching is geometric only: haversine radius,
-heading tolerance, optional date bound; results come back newest-first.
+path, relative to the endpoint or absolute under it; without heading the
+server matches any heading, without max it returns every match. Matching
+is geometric only: haversine radius, heading tolerance, optional date
+bound; results come back newest-first.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import json
 import logging
 import math
 import os
+import posixpath
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from urllib.parse import urlencode
 
@@ -97,7 +99,7 @@ class MatchPolicy:
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    path: str  # relative path (archive) or image URL (remote)
+    path: str  # relative to the archive root, or to the endpoint (remote)
     capture_date: date
     lat: float
     lon: float
@@ -134,6 +136,15 @@ def _parse_entry(row, path_key: str) -> ManifestEntry:
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestMalformed(f"bad manifest row {row!r}: {exc}") from exc
     return entry
+
+
+def dump_manifest(entries: list[ManifestEntry], path_key: str = "path") -> bytes:
+    """The entries as the bare-array JSON form parse_manifest reads."""
+    rows = [
+        {path_key: e.path, "date": e.capture_date.isoformat(), "lat": e.lat, "lon": e.lon, "heading": e.heading}
+        for e in entries
+    ]
+    return json.dumps(rows).encode()
 
 
 def parse_manifest(text: str, path_key: str = "path") -> list[ManifestEntry]:
@@ -288,7 +299,10 @@ class RemoteHistoryClient:
     nothing. That response is cached under exactly those parameters and
     query() applies the full filter to it, so a warm cache answers any
     heading or max_records at a location with the records a cold query
-    would get. Images are keyed by their URL. Requests reuse the session's
+    would get. Each row's image_url must resolve under the endpoint, or
+    the response is a ProtocolError; the cache stores it, and keys its
+    image, as a path relative to the endpoint, so a cache warmed against
+    one address serves another. Requests reuse the session's
     kept-alive connections, and every body is read in chunks and refused
     with ProtocolError past MAX_BODY_BYTES. Cache files are written
     atomically and only after a fully successful fetch, so a failed call
@@ -301,6 +315,7 @@ class RemoteHistoryClient:
 
     def __init__(self, endpoint: str, cache_dir=None, policy: MatchPolicy = MatchPolicy(), timeout: float = 10.0):
         self.endpoint = endpoint.rstrip("/")
+        self._base = self.endpoint + "/"
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.policy = policy
         self.timeout = timeout
@@ -333,6 +348,22 @@ class RemoteHistoryClient:
         except requests.RequestException as exc:
             raise NetworkUnreachable(f"GET {url} failed: {exc}") from exc
 
+    def _image_path(self, url: str) -> str:
+        """url as a normalised path relative to the endpoint: url is
+        relative to it, or absolute and starts with it. A URL with a scheme
+        or host of its own, a host-rooted path or one whose '..' steps
+        climb above the endpoint is ManifestMalformed."""
+        path = posixpath.normpath(url[len(self._base) :] if url.startswith(self._base) else url)
+        head = path.split("/", 1)[0]
+        if head in ("", ".", "..") or ":" in head:
+            raise ManifestMalformed(f"image_url {url!r} does not resolve under {self.endpoint}")
+        return path
+
+    def _parse_rows(self, data: bytes) -> list[ManifestEntry]:
+        """The rows of a /history body, each path relative to the endpoint."""
+        entries = parse_manifest(data.decode("utf-8"), path_key="image_url")
+        return [replace(e, path=self._image_path(e.path)) for e in entries]
+
     def _fetch_manifest(self, query: HistoryQuery) -> list[ManifestEntry]:
         """Every row the server matches within its radius of the query's
         location, any heading, uncapped."""
@@ -345,7 +376,7 @@ class RemoteHistoryClient:
             with open(cache_path, "rb") as fh:
                 data = fh.read()
             try:
-                return parse_manifest(data.decode("utf-8"), path_key="image_url")
+                return self._parse_rows(data)
             except (UnicodeDecodeError, ManifestMalformed) as exc:
                 _drop_corrupt(cache_path, exc)
         status, body = self._get(self.endpoint + "/history", params=params)
@@ -354,15 +385,16 @@ class RemoteHistoryClient:
         if status != 200:
             raise ProtocolError(f"history endpoint returned {status}")
         try:
-            entries = parse_manifest(body.decode("utf-8"), path_key="image_url")
+            entries = self._parse_rows(body)
         except (UnicodeDecodeError, ManifestMalformed) as exc:
             raise ProtocolError(str(exc)) from exc
         if cache_path:
-            _atomic_write(cache_path, body)
+            _atomic_write(cache_path, dump_manifest(entries, path_key="image_url"))
         return entries
 
-    def _fetch_image(self, url: str) -> RasterImage | None:
-        cache_path = self._cache_path("images", url, ".png")
+    def _fetch_image(self, path: str) -> RasterImage | None:
+        """The image at path, relative to the endpoint."""
+        cache_path = self._cache_path("images", path, ".png")
         if cache_path and os.path.exists(cache_path):
             with open(cache_path, "rb") as fh:
                 data = fh.read()
@@ -370,6 +402,7 @@ class RemoteHistoryClient:
                 return codecs.decode_image(data, codecs.sniff_format(data))
             except ValueError as exc:
                 _drop_corrupt(cache_path, exc)
+        url = self._base + path
         status, body = self._get(url)
         if status != 200:
             log.warning("image fetch %s returned %s", url, status)

@@ -20,7 +20,7 @@ from chrono_shield.configfile import (
     apply_overrides,
     parse_config_text,
 )
-from chrono_shield.dataset import LabeledImageSet, load_dataset
+from chrono_shield.dataset import DatasetMalformed, LabeledImageSet, load_dataset
 from chrono_shield.fixture_server import HistoryFixtureServer
 from chrono_shield.harness import (
     AttackRecord,
@@ -554,6 +554,24 @@ class TestCli:
         assert len(ds.items) == 32
         assert ds.class_names == CLASS_NAMES
 
+    @pytest.mark.parametrize("where", ["dotdot", "absolute", "symlink"])
+    def test_dataset_path_outside_the_root_is_malformed(self, tmp_path, where):
+        # The image outside the root is valid: only its place makes the row bad.
+        root = tmp_path / "data"
+        root.mkdir()
+        outside = tmp_path / "outside.png"
+        save_image(flat_image(7, 16, 16), str(outside))
+        (root / "link.png").symlink_to(outside)
+        path = {"dotdot": "../outside.png", "absolute": str(outside), "symlink": "link.png"}[where]
+        manifest = {"classes": ["stop"], "items": [{"path": path, "label": 0, "split": "train"}]}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetMalformed, match="resolves outside"):
+            load_dataset(root)
+        manifest["items"][0]["path"] = "inside.png"
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        save_image(flat_image(200, 16, 16), str(root / "inside.png"))
+        assert load_dataset(root).items[0][0].pixels[0, 0, 0] == 200
+
     def test_train_wrote_weights_file(self, cli_workspace):
         _, _, out = cli_workspace
         data = (out / "weights.csw").read_bytes()
@@ -669,6 +687,10 @@ class TestCli:
         "train-missing-keys": ["train", "--data", "{data_no_items_key}"],
         "train-unreadable-image": ["train", "--data", "{data_bad_image}"],
         "train-no-items": ["train", "--data", "{data_empty}"],
+        "train-only-test-items": ["train", "--data", "{data_only_test}"],
+        "train-17-classes": ["train", "--data", "{data_17_classes}"],
+        "train-12px-frames": ["train", "--data", "{data_12px}"],
+        "train-path-outside-root": ["train", "--data", "{data_outside}"],
         "mask-blur-radius-0": ["--config", "{cfg_blur_radius_0}", "mask", "{sign}"],
         "mask-dilate-k-0": ["--config", "{cfg_dilate_k_0}", "mask", "{sign}"],
         "mask-close-k-0": ["--config", "{cfg_close_k_0}", "mask", "{sign}"],
@@ -688,14 +710,22 @@ class TestCli:
         (tmp_path / "deep" / "manifest.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "rank0.csw").write_bytes(csw1_container([()] * 8))
         (tmp_path / "not_image.png").write_bytes(b"not an image")
+        seventeen = [f"class{k}" for k in range(17)]
         for name, manifest in (
             ("data_no_items_key", {"classes": ["stop"]}),
             ("data_bad_image", {"classes": ["stop"], "items": [{"path": "x.png", "label": 0, "split": "train"}]}),
             ("data_empty", {"classes": ["stop"], "items": []}),
+            ("data_only_test", {"classes": ["stop"], "items": [{"path": "x.png", "label": 0, "split": "test"}]}),
+            ("data_17_classes", {"classes": seventeen, "items": [{"path": "x.png", "label": k, "split": "train"} for k in range(17)]}),
+            ("data_12px", {"classes": ["stop"], "items": [{"path": "x.png", "label": 0, "split": "train"}]}),
+            ("data_outside", {"classes": ["stop"], "items": [{"path": "../sign.png", "label": 0, "split": "train"}]}),
         ):
             (tmp_path / name).mkdir()
             (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
         (tmp_path / "data_bad_image" / "x.png").write_bytes(b"not an image")
+        for name in ("data_only_test", "data_17_classes"):
+            save_image(flat_image(128, 16, 16), str(tmp_path / name / "x.png"))
+        save_image(flat_image(128, 12, 12), str(tmp_path / "data_12px" / "x.png"))
         for key in ("blur_radius", "dilate_k", "close_k"):
             (tmp_path / f"{key}_0.cfg").write_text(f"mask.{key} = 0\n")
         weights = (out / "weights.csw").read_bytes()
@@ -715,6 +745,10 @@ class TestCli:
             data_no_items_key=tmp_path / "data_no_items_key",
             data_bad_image=tmp_path / "data_bad_image",
             data_empty=tmp_path / "data_empty",
+            data_only_test=tmp_path / "data_only_test",
+            data_17_classes=tmp_path / "data_17_classes",
+            data_12px=tmp_path / "data_12px",
+            data_outside=tmp_path / "data_outside",
             cfg_blur_radius_0=tmp_path / "blur_radius_0.cfg",
             cfg_dilate_k_0=tmp_path / "dilate_k_0.cfg",
             cfg_close_k_0=tmp_path / "close_k_0.cfg",

@@ -5,10 +5,14 @@ import http.client
 import itertools
 import json
 import os
+import shutil
+import struct
 import threading
 import tracemalloc
+import zlib
 from datetime import date
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import urlparse
 
 import numpy as np
@@ -18,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chrono_shield import history
-from chrono_shield.codecs import save_image
-from chrono_shield.fixture_server import HistoryFixtureServer
+from chrono_shield.codecs import PNG_SIGNATURE, _png_chunk, decode_image, load_image, save_image, sniff_format
+from chrono_shield.fixture_server import HistoryFixtureServer, _Handler
 from chrono_shield.history import (
     HistoricalRecord,
     HistoryQuery,
@@ -30,6 +34,7 @@ from chrono_shield.history import (
     NetworkUnreachable,
     ProtocolError,
     RemoteHistoryClient,
+    dump_manifest,
     filter_entries,
     haversine_m,
     heading_delta_deg,
@@ -37,10 +42,11 @@ from chrono_shield.history import (
     parse_manifest,
     query_archive,
 )
+from chrono_shield.raster import RasterImage
 from chrono_shield.synth import make_history_archive
 
 from _oracles import haversine_filter, haversine_law_of_cosines
-from conftest import flat_image
+from conftest import flat_image, random_image
 
 
 def answer(records):
@@ -152,6 +158,14 @@ class TestManifest:
     def test_versioned_dict_form(self):
         m = parse_manifest(json.dumps({"version": 2, "entries": [GOOD_ROW]}))
         assert m == parse_manifest(json.dumps([GOOD_ROW]))
+
+    def test_dump_is_parsed_back_exactly(self):
+        entries = [
+            ManifestEntry("a.png", date(2019, 7, 3), 40.1 + 0.2, -74.0 / 3, 359.99999999999994),
+            ManifestEntry("image/b c.png", date(2016, 10, 12), -90.0, 180.0, 0.0),
+        ]
+        for key in ("path", "image_url"):
+            assert parse_manifest(dump_manifest(entries, path_key=key).decode(), path_key=key) == entries
 
     def test_alternate_path_key(self):
         row = dict(GOOD_ROW)
@@ -472,6 +486,82 @@ class TestFixtureServer:
         assert len(records) == 2
         assert client.last_failures == 1
 
+    def test_image_route_serves_stored_png_bytes(self, archive, tmp_path, rng):
+        # The archive's own PNGs, and one the encoder would not write
+        # (stored deflate blocks, one sub-filtered row), go out unchanged.
+        root, _ = archive
+        stored = {p.name: p.read_bytes() for p in Path(root).glob("*.png")}
+        px = rng.integers(0, 256, size=(2, 3, 3), dtype=np.uint8)
+        lines = bytes([1, *px[0, 0], *(px[0, 1:] - px[0, :-1]).reshape(-1)]) + bytes([0]) + px[1].tobytes()
+        ihdr = struct.pack(">IIBBBBB", 3, 2, 8, 2, 0, 0, 0)
+        stored["odd.png"] = (
+            PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", zlib.compress(lines, 0)) + _png_chunk(b"IEND", b"")
+        )
+        assert decode_image(stored["odd.png"], "png") == RasterImage(px)
+        for name, data in stored.items():
+            (tmp_path / name).write_bytes(data)
+        (tmp_path / "manifest.json").write_text(json.dumps([{**GOOD_ROW, "path": n} for n in stored]))
+        with HistoryFixtureServer(tmp_path) as server, requests.Session() as session:
+            for name, data in stored.items():
+                resp = session.get(f"{server.url}/image/{name}", timeout=5)
+                assert resp.status_code == 200 and resp.headers["Content-Type"] == "image/png"
+                assert resp.content == data
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_pnm_archive_image_is_served_as_png(self, tmp_path, rng, channels):
+        img = random_image(rng, 9, 5, channels)
+        ext = ".pgm" if channels == 1 else ".ppm"
+        save_image(img, str(tmp_path / f"frame{ext}"))
+        (tmp_path / "manifest.json").write_text(json.dumps([{**GOOD_ROW, "path": f"frame{ext}"}]))
+        query = HistoryQuery(location=(40.0, -74.0), heading=90.0)
+        with HistoryFixtureServer(tmp_path) as server:
+            body = requests.get(f"{server.url}/image/frame{ext}", timeout=5).content
+            records = RemoteHistoryClient(server.url).query(query)
+        assert sniff_format(body) == "png" and decode_image(body, "png") == img
+        assert answer(records) == answer(query_archive(str(tmp_path), query))
+
+    def test_corrupt_stored_png_is_skipped_and_counted(self, archive, tmp_path):
+        # The server sends the stored bytes as they are; the client finds
+        # them undecodable, as query_archive does, and counts one failure.
+        root, coords = archive
+        clone = tmp_path / "clone"
+        shutil.copytree(root, clone)
+        (victim,) = clone.glob("sign0000_2019*")
+        data = bytearray(victim.read_bytes())
+        data[40] ^= 0xFF  # inside IDAT: the chunk fails its CRC
+        victim.write_bytes(bytes(data))
+        with HistoryFixtureServer(str(clone)) as server:
+            assert requests.get(f"{server.url}/image/{victim.name}", timeout=5).content == bytes(data)
+            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
+            records = client.query(fresh_query(coords))
+        assert answer(records) == answer(query_archive(str(clone), fresh_query(coords)))
+        assert len(records) == 2 and client.last_failures == 1
+        assert len(list((tmp_path / "cache" / "images").iterdir())) == 2  # the bad body is not cached
+
+    def test_kept_alive_connection_carries_a_body_larger_than_the_write_buffer(self, tmp_path, rng):
+        save_image(random_image(rng, 256, 256), str(tmp_path / "big.png"))
+        stored = (tmp_path / "big.png").read_bytes()
+        assert len(stored) > _Handler.wbufsize
+        (tmp_path / "manifest.json").write_text(json.dumps([{**GOOD_ROW, "path": "big.png"}]))
+        with HistoryFixtureServer(tmp_path) as server:
+            where = urlparse(server.url)
+            conn = http.client.HTTPConnection(where.hostname, where.port, timeout=5)
+            try:
+                socks = []
+                for path in ("/image/big.png", "/stats", "/image/big.png"):
+                    conn.request("GET", path)
+                    resp = conn.getresponse()
+                    body = resp.read()
+                    assert resp.status == 200 and not resp.will_close
+                    socks.append(conn.sock)
+                    if path == "/stats":
+                        assert json.loads(body)["image"] == 1
+                    else:
+                        assert body == stored
+                assert socks[0] is not None and socks[0] is socks[1] is socks[2]
+            finally:
+                conn.close()
+
     def test_connection_is_kept_alive(self, archive):
         root, _ = archive
         with HistoryFixtureServer(root) as server:
@@ -568,6 +658,60 @@ class TestFixtureServer:
         client = RemoteHistoryClient("http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(NetworkUnreachable):
             client.query(q)
+
+    def test_cache_warmed_on_one_address_serves_another(self, archive, tmp_path):
+        root, coords = archive
+        cache = tmp_path / "cache"
+        with HistoryFixtureServer(root) as first:
+            cold = RemoteHistoryClient(first.url, cache_dir=cache)
+            want = answer(cold.query(fresh_query(coords)))
+            old_url = first.url
+        with HistoryFixtureServer(root) as second:
+            assert second.url != old_url
+            warm = RemoteHistoryClient(second.url, cache_dir=cache)
+            assert answer(warm.query(fresh_query(coords))) == want
+            assert warm.last_network_requests == 0 and second.stats()["hits"] == 0
+        (entry,) = (cache / "queries").iterdir()
+        assert all(row["image_url"].startswith("image/sign") for row in json.loads(entry.read_text()))
+
+    @pytest.mark.parametrize(
+        "image_url",
+        [
+            "http://127.0.0.1:1/api/image/a.png",  # another port
+            "//127.0.0.1:1/api/image/a.png",  # another host, scheme-relative
+            "/image/a.png",  # host-rooted: outside /api
+            "image/../../a.png",  # climbs above /api
+            "{base}/api/image/../../a.png",
+            "{base}/apix/image/a.png",
+            "file:///etc/hostname",
+        ],
+    )
+    def test_image_url_outside_the_endpoint_is_protocol_error(self, tmp_path, image_url):
+        # Refused before any image request: the routes have no image.
+        def rows(base):
+            return [json.dumps([{**GOOD_ROW, "image_url": image_url.format(base=base)}]).encode()]
+
+        with raw_server({"/api/history": rows}) as url:
+            client = RemoteHistoryClient(url + "/api", cache_dir=tmp_path / "cache")
+            with pytest.raises(ProtocolError, match="does not resolve under"):
+                client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+        assert client.last_network_requests == 1
+        assert not (tmp_path / "cache" / "queries").exists()
+
+    @pytest.mark.parametrize("image_url", ["image/a.png", "./image/a.png", "image/x/../a.png", "{base}/api/image/a.png"])
+    def test_image_url_under_the_endpoint_is_fetched_relative_to_it(self, tmp_path, image_url):
+        png = tmp_path / "a.png"
+        save_image(flat_image(9, 4, 4), str(png))
+
+        def rows(base):
+            return [json.dumps([{**GOOD_ROW, "image_url": image_url.format(base=base)}]).encode()]
+
+        with raw_server({"/api/history": rows, "/api/image/a.png": lambda base: [png.read_bytes()]}) as url:
+            client = RemoteHistoryClient(url + "/api", cache_dir=tmp_path / "cache")
+            records = client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+        assert [r.image for r in records] == [load_image(png)]
+        (entry,) = (tmp_path / "cache" / "queries").iterdir()
+        assert json.loads(entry.read_text())[0]["image_url"] == "image/a.png"
 
     def test_missing_archive_fails_at_start(self, tmp_path):
         with pytest.raises(ManifestMissing):

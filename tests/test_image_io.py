@@ -288,6 +288,20 @@ def _png_from_scanlines(width, height, color_type, lines: bytes) -> bytes:
     )
 
 
+def _filtered_png(px: np.ndarray, ftypes) -> bytes:
+    """px as a PNG whose row y carries filter ftypes[y], filtered by the
+    independent forward-filter oracle."""
+    height, width, channels = px.shape
+    lines = bytearray()
+    prev = np.zeros(width * channels, dtype=np.uint8)
+    for ftype, row in zip(ftypes, px):
+        cur = row.reshape(-1)
+        lines.append(ftype)
+        lines += png_forward_filter(ftype, cur, prev, channels).tobytes()
+        prev = cur
+    return _png_from_scanlines(width, height, 0 if channels == 1 else 2, bytes(lines))
+
+
 class TestPng:
     def test_rgb_round_trip(self, rng):
         img = random_image(rng, 7, 3)
@@ -301,30 +315,30 @@ class TestPng:
         # Encode each scanline with a different filter using the
         # independent forward-filter oracle; the decoder must invert all.
         px = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
-        stride = 4 * 3
-        lines = bytearray()
-        prev = np.zeros(stride, dtype=np.uint8)
-        for y in range(5):
-            ftype = y % 5
-            cur = px[y].reshape(-1)
-            lines.append(ftype)
-            lines += png_forward_filter(ftype, cur, prev, 3).tobytes()
-            prev = cur
-        img = decode_image(_png_from_scanlines(4, 5, 2, bytes(lines)), "png")
+        img = decode_image(_filtered_png(px, [y % 5 for y in range(5)]), "png")
         assert np.array_equal(img.pixels, px)
 
     def test_gray_filters_against_forward_reference(self, rng):
         px = rng.integers(0, 256, size=(6, 5, 1), dtype=np.uint8)
-        lines = bytearray()
-        prev = np.zeros(5, dtype=np.uint8)
-        for y in range(6):
-            ftype = (y + 3) % 5
-            cur = px[y].reshape(-1)
-            lines.append(ftype)
-            lines += png_forward_filter(ftype, cur, prev, 1).tobytes()
-            prev = cur
-        img = decode_image(_png_from_scanlines(5, 6, 0, bytes(lines)), "png")
+        img = decode_image(_filtered_png(px, [(y + 3) % 5 for y in range(6)]), "png")
         assert np.array_equal(img.pixels, px)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("row", [None, 0, 3, 6])
+    @pytest.mark.parametrize("ftype", [1, 2, 3, 4])
+    def test_filter_zero_rows_against_forward_reference(self, rng, channels, row, ftype):
+        # Every row filter 0 (the one-reshape path), or all but one row,
+        # which sends the whole frame down the per-row path.
+        px = rng.integers(0, 256, size=(7, 5, channels), dtype=np.uint8)
+        ftypes = [ftype if y == row else 0 for y in range(7)]
+        assert decode_image(_filtered_png(px, ftypes), "png") == RasterImage(px)
+
+    def test_filter_five_in_the_last_row_is_malformed(self, rng):
+        # The rows above it take filter 0: only the last byte is out of range.
+        px = rng.integers(0, 256, size=(4, 3, 3), dtype=np.uint8)
+        lines = b"".join(bytes([ftype]) + row.tobytes() for ftype, row in zip([0, 0, 0, 5], px))
+        with pytest.raises(MalformedFile, match="filter type 5"):
+            decode_image(_png_from_scanlines(3, 4, 2, lines), "png")
 
     def test_bad_signature(self):
         with pytest.raises(MalformedFile):
