@@ -302,7 +302,10 @@ def _cmd_defend(args) -> int:
     query = _history_query(args, vote.min_history)
     if args.history.startswith(("http://", "https://")):
         client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)
-        records = client.query(query)
+        try:
+            records = client.query(query)
+        finally:
+            client.close()
     else:
         records = query_archive(args.history, query, match)
     verdict = defend(img, records, weights, vote)

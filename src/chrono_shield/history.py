@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import http.client
 import json
 import logging
 import math
@@ -22,9 +23,7 @@ import posixpath
 import tempfile
 from dataclasses import dataclass, replace
 from datetime import date
-from urllib.parse import urlencode
-
-import requests
+from urllib.parse import quote, urlencode, urlsplit
 
 from . import codecs
 from .raster import RasterImage
@@ -36,6 +35,10 @@ EARTH_RADIUS_M = 6371.0 * 1000.0
 # Largest response body the remote client reads, in bytes; a longer one is
 # refused with ProtocolError before it is held in memory.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+# Characters left as they are when a path is percent-quoted for a request
+# target: the reserved set, '%' and '~', as requests' requote_uri keeps them.
+_PATH_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 class ManifestMissing(FileNotFoundError):
@@ -291,6 +294,21 @@ def _drop_corrupt(path: str, exc: Exception) -> None:
     os.remove(path)
 
 
+def _connection(endpoint: str, timeout: float) -> tuple[http.client.HTTPConnection, str]:
+    """An unopened connection to endpoint's host and port, and endpoint's
+    path quoted with a trailing '/'. An endpoint that is not an http(s)
+    URL with a host and a numeric port is NetworkUnreachable."""
+    try:
+        parts = urlsplit(endpoint)
+        port = parts.port
+    except ValueError as exc:
+        raise NetworkUnreachable(f"bad history endpoint {endpoint!r}: {exc}") from None
+    kind = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(parts.scheme)
+    if kind is None or not parts.hostname:
+        raise NetworkUnreachable(f"bad history endpoint {endpoint!r}: not an http(s) URL with a host")
+    return kind(parts.hostname, port, timeout=timeout), quote(parts.path, safe=_PATH_SAFE) + "/"
+
+
 class RemoteHistoryClient:
     """HTTP history client with an on-disk response cache.
 
@@ -302,15 +320,19 @@ class RemoteHistoryClient:
     would get. Each row's image_url must resolve under the endpoint, or
     the response is a ProtocolError; the cache stores it, and keys its
     image, as a path relative to the endpoint, so a cache warmed against
-    one address serves another. Requests reuse the session's
-    kept-alive connections, and every body is read in chunks and refused
-    with ProtocolError past MAX_BODY_BYTES. Cache files are written
-    atomically and only after a fully successful fetch, so a failed call
-    never leaves partial cache state, and an entry that no longer parses
-    is deleted and fetched again. Per-image fetch failures are skipped and
-    counted in last_failures ("what succeeded plus a warning count");
-    last_network_requests says whether the previous query touched the
-    network at all.
+    one address serves another. Requests go over one kept-alive
+    connection, self.session (an http.client connection to the endpoint's
+    host), and a reused one that turns out closed is retried once on a
+    fresh connection. Redirects are not followed: a 3xx is a non-200 like
+    any other. Proxy environment variables and .netrc are not read, and
+    HTTPS is verified against the system CA store. Every body is read in
+    chunks and refused with ProtocolError past MAX_BODY_BYTES. Cache
+    files are written atomically and only after a fully successful
+    fetch, so a failed call never leaves partial cache state, and an
+    entry that no longer parses is deleted and fetched again. Per-image
+    fetch failures are skipped and counted in last_failures ("what
+    succeeded plus a warning count"); last_network_requests says whether
+    the previous query touched the network at all.
     """
 
     def __init__(self, endpoint: str, cache_dir=None, policy: MatchPolicy = MatchPolicy(), timeout: float = 10.0):
@@ -318,8 +340,7 @@ class RemoteHistoryClient:
         self._base = self.endpoint + "/"
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.policy = policy
-        self.timeout = timeout
-        self.session = requests.Session()
+        self.session, self._prefix = _connection(self.endpoint, timeout)
         self.last_failures = 0
         self.last_network_requests = 0
 
@@ -329,24 +350,44 @@ class RemoteHistoryClient:
         digest = hashlib.sha1(key.encode()).hexdigest()
         return os.path.join(self.cache_dir, kind, digest + suffix)
 
+    def close(self) -> None:
+        """Close the kept-alive connection; a later query opens a new one."""
+        self.session.close()
+
     # -- network
 
-    def _get(self, url: str, params=None) -> tuple[int, bytes]:
-        """Status and body of GET url. A body over MAX_BODY_BYTES raises
-        ProtocolError and closes its connection instead of returning it
-        to the pool."""
+    def _get(self, target: str) -> tuple[int, bytes]:
+        """Status and body of GET {endpoint}/{target}, target already
+        quoted. A reused connection that fails before the status line
+        arrives (the server closed it while idle) is tried once more on a
+        fresh one. A body over MAX_BODY_BYTES raises ProtocolError; any
+        failure closes the connection."""
         self.last_network_requests += 1
+        conn = self.session
+        url = self._base + target
+        reused = conn.sock is not None
         try:
-            with self.session.get(url, params=params, timeout=self.timeout, stream=True) as resp:
-                chunks, size = [], 0
-                for chunk in resp.iter_content(1 << 16):
-                    size += len(chunk)
-                    if size > MAX_BODY_BYTES:
-                        raise ProtocolError(f"GET {url} body exceeds {MAX_BODY_BYTES} bytes")
-                    chunks.append(chunk)
-                return resp.status_code, b"".join(chunks)
-        except requests.RequestException as exc:
-            raise NetworkUnreachable(f"GET {url} failed: {exc}") from exc
+            try:
+                conn.request("GET", self._prefix + target)
+                resp = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("GET", self._prefix + target)
+                resp = conn.getresponse()
+            chunks, size = [], 0
+            while chunk := resp.read(1 << 16):
+                size += len(chunk)
+                if size > MAX_BODY_BYTES:
+                    raise ProtocolError(f"GET {url} body exceeds {MAX_BODY_BYTES} bytes")
+                chunks.append(chunk)
+            return resp.status, b"".join(chunks)
+        except BaseException as exc:
+            conn.close()
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise NetworkUnreachable(f"GET {url} failed: {exc}") from exc
+            raise
 
     def _image_path(self, url: str) -> str:
         """url as a normalised path relative to the endpoint: url is
@@ -371,7 +412,8 @@ class RemoteHistoryClient:
         params = {"lat": f"{lat:.6f}", "lon": f"{lon:.6f}"}
         if query.before is not None:
             params["before"] = query.before.isoformat()
-        cache_path = self._cache_path("queries", urlencode(params), ".json")
+        query_string = urlencode(params)
+        cache_path = self._cache_path("queries", query_string, ".json")
         if cache_path and os.path.exists(cache_path):
             with open(cache_path, "rb") as fh:
                 data = fh.read()
@@ -379,7 +421,7 @@ class RemoteHistoryClient:
                 return self._parse_rows(data)
             except (UnicodeDecodeError, ManifestMalformed) as exc:
                 _drop_corrupt(cache_path, exc)
-        status, body = self._get(self.endpoint + "/history", params=params)
+        status, body = self._get("history?" + query_string)
         if status >= 500:
             raise NetworkUnreachable(f"history endpoint returned {status}")
         if status != 200:
@@ -403,7 +445,7 @@ class RemoteHistoryClient:
             except ValueError as exc:
                 _drop_corrupt(cache_path, exc)
         url = self._base + path
-        status, body = self._get(url)
+        status, body = self._get(quote(path, safe=_PATH_SAFE))
         if status != 200:
             log.warning("image fetch %s returned %s", url, status)
             return None

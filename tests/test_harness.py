@@ -665,6 +665,7 @@ class TestCli:
         "no-manifest": ["defend", "--history", "{empty_dir}"],
         "bad-manifest": ["defend", "--history", "{bad_archive}"],
         "unreachable": ["defend", "--history", "http://127.0.0.1:1"],
+        "endpoint-bad-port": ["defend", "--history", "http://127.0.0.1:abc"],
         "attack-missing-image": ["attack", "--image", "{missing}"],
         "attack-unreadable-image": ["attack", "--image", "{not_image}"],
         "attack-missing-mask": ["attack", "--mask", "{missing}"],

@@ -55,20 +55,27 @@ def answer(records):
 
 
 @contextlib.contextmanager
-def raw_server(routes):
+def raw_server(routes, redirects=None):
     """A bare HTTP/1.0 server answering GET path -> routes[path](base_url)
     with a 200 and the chunks that call yields, streamed with no
-    Content-Length; a client that hangs up mid-body ends the reply."""
+    Content-Length; a client that hangs up mid-body ends the reply. A path
+    in redirects gets a 302 to redirects[path](base_url) instead."""
 
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *a):
             pass
 
         def do_GET(self):
+            path = urlparse(self.path).path
+            if redirects and path in redirects:
+                self.send_response(302)
+                self.send_header("Location", redirects[path](base))
+                self.end_headers()
+                return
             self.send_response(200)
             self.end_headers()
             try:
-                for chunk in routes[urlparse(self.path).path](base):
+                for chunk in routes[path](base):
                     self.wfile.write(chunk)
             except ConnectionError:
                 pass
@@ -83,6 +90,18 @@ def raw_server(routes):
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=5)
+
+
+def count_connects(client):
+    """A list that gains an item each time the client's connection opens."""
+    connects, connect = [], client.session.connect
+
+    def counted():
+        connects.append(1)
+        connect()
+
+    client.session.connect = counted
+    return connects
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +675,98 @@ class TestFixtureServer:
     def test_connection_refused_is_network_unreachable(self):
         q = HistoryQuery(location=(40.0, -74.0), heading=90.0)
         client = RemoteHistoryClient("http://127.0.0.1:1", timeout=0.5)
+        connects = count_connects(client)
         with pytest.raises(NetworkUnreachable):
             client.query(q)
+        # A fresh connection that fails is not tried again.
+        assert len(connects) == 1 and client.last_network_requests == 1
+
+    @pytest.mark.parametrize("endpoint", ["http://", "http://127.0.0.1:abc", "http://[::1", "ftp://127.0.0.1/history"])
+    def test_malformed_endpoint_is_network_unreachable(self, endpoint):
+        with pytest.raises(NetworkUnreachable, match="bad history endpoint"):
+            RemoteHistoryClient(endpoint).query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+
+    def test_stale_kept_alive_connection_is_retried_once(self, archive, tmp_path):
+        # The server ends the idle kept-alive connection between two cold
+        # queries; the second query's first GET finds it closed and goes
+        # out again on a fresh connection, counted once.
+        root, coords = archive
+        with HistoryFixtureServer(root) as server:
+            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
+            connects = count_connects(client)
+            assert len(client.query(fresh_query(coords, 0))) == 3
+            assert client.session.sock is not None and len(connects) == 1
+            server._httpd.close_connections(timeout=5)
+            before = server.stats()["hits"]
+            q = fresh_query(coords, 1)
+            got = client.query(q)
+            assert answer(got) == answer(query_archive(root, q)) and len(got) == 3
+            assert client.last_network_requests == server.stats()["hits"] - before == 4
+            assert len(connects) == 2
+
+    def test_close_ends_the_connection_and_a_later_query_reopens_it(self, archive):
+        root, coords = archive
+        with HistoryFixtureServer(root) as server:
+            client = RemoteHistoryClient(server.url)
+            want = answer(client.query(fresh_query(coords)))
+            client.close()
+            assert client.session.sock is None
+            assert answer(client.query(fresh_query(coords))) == want
+            assert client.last_network_requests == 4
+            client.close()
+
+    def test_names_that_need_quoting_are_fetched(self, tmp_path):
+        root = tmp_path / "archive"
+        coords = make_history_archive([0], root, side=16, renders_per_sign=3, seed=0)
+        rows = json.loads((root / "manifest.json").read_text())
+        for row in rows:
+            name = row["path"].replace("sign", "sign é ", 1)
+            os.rename(root / row["path"], root / name)
+            row["path"] = name
+        (root / "manifest.json").write_text(json.dumps(rows))
+        q = fresh_query(coords)
+        with HistoryFixtureServer(root) as server:
+            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
+            got = client.query(q)
+        assert len(got) == 3 and client.last_failures == 0
+        assert answer(got) == answer(query_archive(str(root), q))
+
+    def test_close_delimited_response_leaves_the_connection_closed(self, tmp_path):
+        png = tmp_path / "a.png"
+        save_image(flat_image(9, 4, 4), str(png))
+        rows = [json.dumps([{**GOOD_ROW, "image_url": "image/a.png"}]).encode()]
+        with raw_server({"/history": lambda base: rows, "/image/a.png": lambda base: [png.read_bytes()]}) as url:
+            client = RemoteHistoryClient(url)
+            assert [r.image for r in client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))] == [load_image(png)]
+        assert client.session.sock is None
+
+    def test_image_redirect_is_not_followed(self, tmp_path):
+        # A hostile server redirects the image to another host's; that
+        # image must not become a voter.
+        foreign_root = tmp_path / "foreign"
+        foreign_root.mkdir()
+        save_image(flat_image(9, 4, 4), str(foreign_root / "a.png"))
+        (foreign_root / "manifest.json").write_text(json.dumps([GOOD_ROW]))
+        rows = [json.dumps([{**GOOD_ROW, "image_url": "image/a.png"}]).encode()]
+        with HistoryFixtureServer(foreign_root) as foreign:
+            away = {"/image/a.png": lambda base: foreign.url + "/image/a.png"}
+            with raw_server({"/history": lambda base: rows}, redirects=away) as url:
+                client = RemoteHistoryClient(url, cache_dir=tmp_path / "cache")
+                records = client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+            assert records == [] and client.last_failures == 1
+            assert foreign.stats()["hits"] == 0
+        assert not (tmp_path / "cache" / "images").exists()
+
+    def test_history_redirect_is_protocol_error(self, archive, tmp_path):
+        root, coords = archive
+        with HistoryFixtureServer(root) as foreign:
+            away = {"/history": lambda base: foreign.url + "/history"}
+            with raw_server({}, redirects=away) as url:
+                client = RemoteHistoryClient(url, cache_dir=tmp_path / "cache")
+                with pytest.raises(ProtocolError, match="302"):
+                    client.query(fresh_query(coords))
+            assert foreign.stats()["hits"] == 0
+        assert not (tmp_path / "cache" / "queries").exists()
 
     def test_cache_warmed_on_one_address_serves_another(self, archive, tmp_path):
         root, coords = archive

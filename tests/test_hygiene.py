@@ -44,6 +44,29 @@ def test_detects_an_unused_import():
     assert unused_imports(src) == ["line 2: os", "line 4: b"]
 
 
+def imported_roots(source: str) -> set[str]:
+    """The top-level package of every module an import statement names."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_detects_imported_roots():
+    src = "import os.path, numpy as np\nfrom urllib3.util import Retry\nfrom . import codecs\n"
+    assert imported_roots(src) == {"os", "numpy", "urllib3"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_third_party_http_library(path):
+    """The history client speaks HTTP through the standard library's
+    http.client; requests and urllib3 are test-only dependencies."""
+    assert imported_roots(path.read_text()) & {"requests", "urllib3"} == set()
+
+
 def test_cli_errors_leave_through_main_only():
     """A command handles no exception itself (serve-fixture's ctrl-c stop
     aside): main() turns the typed input errors into one stderr line and
