@@ -6,13 +6,14 @@ Commands: synth, train, mask, attack, defend, sweep, serve-fixture.
 --out names a directory for multi-file commands; for single-artifact
 commands (train/mask/attack) it may instead name the output file
 directly. Config files are line-oriented key=value (see README for
-every key); --seed overrides the seed of every stage it applies to.
+every key). Each stage flag is shorthand for the config key it sets,
+--seed for synth.seed, train.seed and attack.seed; a flag beats --seed,
+which beats the --config file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -21,7 +22,10 @@ from datetime import date
 from .attack import AttackConfig, DegenerateMask, InvalidConfig, run_attack
 from .cnn import (
     Classifier,
+    EmptyDataset,
+    LabelOutOfRange,
     ModelConfig,
+    ShapeMismatch,
     TrainConfig,
     evaluate,
     load_weights,
@@ -29,11 +33,11 @@ from .cnn import (
     train,
 )
 from .codecs import load_image, save_image
-from .configfile import BadConfigLine, UnknownConfigKey, apply_overrides, parse_config_file
+from .configfile import BadConfigLine, UnknownConfigKey, apply_overrides, check_namespaces, parse_config_file
 from .dataset import DatasetMalformed, DatasetMissing, load_dataset, save_dataset
-from .defense import VotePolicy, defend, format_verdict
+from .defense import VotePolicy, class_name, defend, format_verdict
 from .fixture_server import HistoryFixtureServer
-from .harness import emit_report, run_full_sweep
+from .harness import emit_report, fit_input_side, run_full_sweep
 from .history import (
     HistoryQuery,
     ManifestMalformed,
@@ -52,10 +56,22 @@ log = logging.getLogger("chrono_shield")
 
 _IMAGE_EXTS = (".png", ".ppm", ".pgm")
 
+# Each config namespace and the stage config its keys set.
+_STAGES = {
+    "synth": SynthConfig,
+    "train": TrainConfig,
+    "model": ModelConfig,
+    "attack": AttackConfig,
+    "vote": VotePolicy,
+    "match": MatchPolicy,
+    "mask": MaskParams,
+}
+_SEEDED = ("synth", "train", "attack")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chrono-shield", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="override every stage seed")
+    parser.add_argument("--seed", default=None, help="sets synth.seed, train.seed and attack.seed")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default="out", help="output directory or file (default ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,24 +80,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the classifier, write a .csw weight file")
     p.add_argument("--data", default=None, help="dataset dir from `synth` (default: render fresh)")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", dest="train.epochs")
 
     p = sub.add_parser("mask", help="generate the sign-region mask for one image")
     p.add_argument("image")
-    p.add_argument("--low", type=float, default=None, help="Canny low threshold")
-    p.add_argument("--high", type=float, default=None, help="Canny high threshold")
-    p.add_argument("--sigma", type=float, default=None, help="blur sigma")
-    p.add_argument("--min-area", type=float, default=None, help="contour area floor, fraction")
+    p.add_argument("--low", dest="mask.low", help="Canny low threshold")
+    p.add_argument("--high", dest="mask.high", help="Canny high threshold")
+    p.add_argument("--sigma", dest="mask.sigma", help="blur sigma")
+    p.add_argument("--min-area", dest="mask.min_area_frac", help="contour area floor, fraction")
 
     p = sub.add_parser("attack", help="shadow-attack one image")
     p.add_argument("--model", "--weights", dest="model", required=True, help=".csw weight file")
     p.add_argument("--image", required=True)
     p.add_argument("--label", required=True, help="true class (name or index)")
     p.add_argument("--mask", default=None, help="mask image file (default: generate)")
-    p.add_argument("--swarm", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--darkening", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="shadow polygon vertex count")
+    p.add_argument("--swarm", dest="attack.swarm")
+    p.add_argument("--iters", dest="attack.iterations")
+    p.add_argument("--darkening", dest="attack.darkening")
+    p.add_argument("--k", dest="attack.vertices", help="shadow polygon vertex count")
 
     p = sub.add_parser("defend", help="majority-vote verdict over history")
     p.add_argument("--model", "--weights", dest="model", required=True, help=".csw weight file")
@@ -91,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lon", type=float, required=True)
     p.add_argument("--heading", type=float, required=True)
     p.add_argument("--before", default=None, help="only use captures before this ISO date")
-    p.add_argument("--min-history", type=int, default=None)
+    p.add_argument("--min-history", dest="vote.min_history")
 
     p = sub.add_parser("sweep", help="full experiment: synth, train, attack, defend, report")
     p.add_argument("--max-images", type=int, default=None)
@@ -103,33 +119,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configs(args):
-    """Stage configs from the config file, then the --seed override;
-    a key outside the stage namespaces raises UnknownConfigKey."""
+def _configs(args) -> dict:
+    """{stage: config} for every _STAGES entry: its defaults, then the
+    --config file, then --seed, then each dotted flag given."""
     try:
         values = parse_config_file(args.config) if args.config else {}
     except (OSError, UnicodeDecodeError) as exc:
         raise BadInput(f"cannot read config {args.config}: {exc}") from exc
-    stages = {
-        "synth": SynthConfig(),
-        "train": TrainConfig(),
-        "model": ModelConfig(),
-        "attack": AttackConfig(),
-        "vote": VotePolicy(),
-        "match": MatchPolicy(),
-        "mask": MaskParams(),
-    }
-    for key in values:
-        if key.split(".", 1)[0] not in stages:
-            raise UnknownConfigKey(f"{key!r} is not under one of the namespaces {', '.join(stages)}")
-    scfg, tcfg, mcfg, acfg, vote, match, mask = (
-        apply_overrides(config, values, prefix) for prefix, config in stages.items()
-    )
+    check_namespaces(values, _STAGES)
     if args.seed is not None:
-        scfg = dataclasses.replace(scfg, seed=args.seed)
-        tcfg = dataclasses.replace(tcfg, seed=args.seed)
-        acfg = dataclasses.replace(acfg, seed=args.seed)
-    return scfg, tcfg, mcfg, acfg, vote, match, mask
+        values.update({f"{stage}.seed": args.seed for stage in _SEEDED})
+    values.update({key: value for key, value in vars(args).items() if "." in key and value is not None})
+    return {stage: apply_overrides(config(), values, stage) for stage, config in _STAGES.items()}
 
 
 class BadInput(ValueError):
@@ -146,6 +147,7 @@ _INPUT_ERRORS = (
     DatasetMissing, DatasetMalformed,
     ManifestMissing, ManifestMalformed, NetworkUnreachable, ProtocolError,
     BadConfigLine, UnknownConfigKey,
+    EmptyDataset, LabelOutOfRange, ShapeMismatch,
 )
 
 
@@ -199,19 +201,6 @@ def _history_query(args, max_records: int) -> HistoryQuery:
         raise BadInput(f"bad history query: {exc}") from exc
 
 
-def _fit_model(mcfg: ModelConfig, ds, source: str) -> ModelConfig:
-    """mcfg with its input side cut to ds's frame height. A set the model
-    cannot train on raises BadInput naming source."""
-    if not ds.split("train"):
-        raise BadInput(f"{source} has no training items")
-    if len(ds.class_names) > mcfg.num_classes:
-        raise BadInput(f"{source} has {len(ds.class_names)} classes; the model takes at most {mcfg.num_classes}")
-    side = min(mcfg.input_side, ds.items[0][0].height)
-    if side < 8 or side % 8:
-        raise BadInput(f"{source} gives a {side} px input side; the model needs a positive multiple of 8")
-    return dataclasses.replace(mcfg, input_side=side)
-
-
 def _out_file(out: str, default_name: str, exts=_IMAGE_EXTS) -> str:
     """--out as a file when it has a matching extension, else a directory."""
     if out.endswith(exts):
@@ -224,8 +213,7 @@ def _out_file(out: str, default_name: str, exts=_IMAGE_EXTS) -> str:
 
 
 def _cmd_synth(args) -> int:
-    scfg, *_ = _configs(args)
-    ds = synth_dataset(scfg)
+    ds = synth_dataset(_configs(args)["synth"])
     target = os.path.join(args.out, "dataset")
     save_dataset(ds, target)
     print(f"wrote {len(ds.items)} images ({len(ds.class_names)} classes) to {target}")
@@ -233,11 +221,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    scfg, tcfg, mcfg, *_ = _configs(args)
-    if args.epochs is not None:
-        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
-    ds = load_dataset(args.data) if args.data else synth_dataset(scfg)
-    weights = train(ds, tcfg, _fit_model(mcfg, ds, f"--data {args.data}" if args.data else "the synthetic set"))
+    cfg = _configs(args)
+    ds = load_dataset(args.data) if args.data else synth_dataset(cfg["synth"])
+    weights = train(ds, cfg["train"], fit_input_side(cfg["model"], ds))
     accuracy, loss = evaluate(weights, ds.split("test") or ds.split("train"))
     path = _out_file(args.out, "weights.csw", exts=(".csw",))
     with open(path, "wb") as fh:
@@ -247,16 +233,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    _, _, _, _, _, _, params = _configs(args)
-    overrides = {
-        "low": args.low,
-        "high": args.high,
-        "sigma": args.sigma,
-        "min_area_frac": args.min_area,
-    }
-    params = dataclasses.replace(
-        params, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    params = _configs(args)["mask"]
     img = _read_image(args.image)
     mask = generate_mask(img, params)
     path = _out_file(args.out, "mask.png")
@@ -266,14 +243,7 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    _, _, _, acfg, *_ = _configs(args)
-    overrides = {
-        "swarm": args.swarm,
-        "iterations": args.iters,
-        "darkening": args.darkening,
-        "vertices": args.k,
-    }
-    acfg = dataclasses.replace(acfg, **{k: v for k, v in overrides.items() if v is not None})
+    acfg = _configs(args)["attack"]
     weights = _load_weights_file(args.model)
     img = _read_image(args.image)
     label = _parse_label(args.label)
@@ -284,8 +254,8 @@ def _cmd_attack(args) -> int:
     before = result.original_prediction
     after = result.adversarial_prediction
     print(
-        f"{CLASS_NAMES[before.label]} ({before.confidence * 100:.2f}%) -> "
-        f"{CLASS_NAMES[after.label]} ({after.confidence * 100:.2f}%) "
+        f"{class_name(before.label, CLASS_NAMES)} ({before.confidence * 100:.2f}%) -> "
+        f"{class_name(after.label, CLASS_NAMES)} ({after.confidence * 100:.2f}%) "
         f"[{'flipped' if result.success else 'held'} after {result.iterations_used} "
         f"iterations]{note}"
     )
@@ -294,35 +264,33 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_defend(args) -> int:
-    _, _, _, _, vote, match, _ = _configs(args)
-    if args.min_history is not None:
-        vote = dataclasses.replace(vote, min_history=args.min_history)
+    cfg = _configs(args)
     weights = _load_weights_file(args.model)
     img = _read_image(args.image)
-    query = _history_query(args, vote.min_history)
+    query = _history_query(args, cfg["vote"].min_history)
     if args.history.startswith(("http://", "https://")):
-        client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=match)
+        client = RemoteHistoryClient(args.history, cache_dir=os.path.join(args.out, "cache"), policy=cfg["match"])
         try:
             records = client.query(query)
         finally:
             client.close()
     else:
-        records = query_archive(args.history, query, match)
-    verdict = defend(img, records, weights, vote)
+        records = query_archive(args.history, query, cfg["match"])
+    verdict = defend(img, records, weights, cfg["vote"])
     print(format_verdict(verdict, CLASS_NAMES))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    scfg, tcfg, mcfg, acfg, vote, _, _ = _configs(args)
+    cfg = _configs(args)
     report = run_full_sweep(
         args.out,
-        seed=args.seed if args.seed is not None else scfg.seed,
-        synth_config=scfg,
-        train_config=tcfg,
-        model_config=mcfg,
-        attack_config=acfg,
-        vote_policy=vote,
+        seed=cfg["synth"].seed,
+        synth_config=cfg["synth"],
+        train_config=cfg["train"],
+        model_config=cfg["model"],
+        attack_config=cfg["attack"],
+        vote_policy=cfg["vote"],
         max_images=args.max_images,
     )
     sys.stdout.write(emit_report(report, "text-table").decode("utf-8"))

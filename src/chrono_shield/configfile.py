@@ -1,8 +1,8 @@
 """Plain key=value config files mapped onto the dataclass configs.
 
-Lines are `key = value`, blank lines and `#` comments ignored. Keys are
-namespaced with dots (`train.epochs=10`, `attack.swarm=20`); a consumer
-picks its namespace and applies the rest onto a dataclass instance, with
+Lines are `key = value`, blank lines and `#` comments ignored. A key is
+`<namespace>.<field>` (`train.epochs=10`, `attack.swarm=20`): each
+consumer applies its namespace's keys onto a dataclass instance, with
 values coerced to the annotated field types.
 """
 
@@ -48,13 +48,7 @@ _FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(value: str, annotation) -> object:
-    origin = typing.get_origin(annotation)
-    if origin is typing.Union:  # includes Optional
-        args = [a for a in typing.get_args(annotation) if a is not type(None)]
-        if value.lower() in {"none", "null", ""}:
-            return None
-        return _coerce(value, args[0])
-    if origin is tuple:
+    if typing.get_origin(annotation) is tuple:
         inner = typing.get_args(annotation)
         elem = inner[0] if inner else str
         parts = [p.strip() for p in value.split(",") if p.strip()]
@@ -74,30 +68,30 @@ def _coerce(value: str, annotation) -> object:
     return value
 
 
-def apply_overrides(config, values: dict[str, str], prefix: str = ""):
-    """Return a copy of the dataclass with matching keys replaced.
+def check_namespaces(values: dict[str, str], namespaces) -> None:
+    """Raise UnknownConfigKey for a key outside every namespace."""
+    for key in values:
+        if key.partition(".")[0] not in namespaces:
+            raise UnknownConfigKey(f"{key!r} is not under one of the namespaces {', '.join(namespaces)}")
 
-    Only keys under `prefix.` (or all keys when prefix is empty) are
-    consumed; a key that names no field raises UnknownConfigKey.
+
+def apply_overrides(config, values: dict[str, str], prefix: str):
+    """A copy of the dataclass with each `prefix.<field>` key applied.
+
+    Keys under other prefixes are left alone; a key under prefix that
+    names no field, a deeper dotted path included, raises UnknownConfigKey.
     """
-    fields = {f.name: f for f in dataclasses.fields(config)}
+    fields = {f.name for f in dataclasses.fields(config)}
     hints = typing.get_type_hints(type(config))
     updates = {}
     for key, value in values.items():
-        if prefix:
-            if not key.startswith(prefix + "."):
-                continue
-            name = key[len(prefix) + 1 :]
-        else:
-            name = key
-        if "." in name:
+        namespace, _, name = key.partition(".")
+        if namespace != prefix:
             continue
         if name not in fields:
             raise UnknownConfigKey(f"{key!r} does not match a field of {type(config).__name__}")
         try:
-            updates[name] = _coerce(value, hints[fields[name].name])
+            updates[name] = _coerce(value, hints[name])
         except BadConfigLine as exc:
             raise BadConfigLine(f"{key}: {exc}") from None
-    if not updates:
-        return config
-    return dataclasses.replace(config, **updates)
+    return dataclasses.replace(config, **updates) if updates else config

@@ -120,21 +120,22 @@ def defend(
     return majority_vote(preds[0], preds[1:], policy=policy, history_meta=meta)
 
 
+def class_name(label: int, class_names: list[str] | None = None) -> str:
+    """class_names[label], or `class_<label>` past the end of the names."""
+    if class_names and 0 <= label < len(class_names):
+        return class_names[label]
+    return f"class_{label}"
+
+
 def format_verdict(verdict: Verdict, class_names: list[str] | None = None) -> str:
     """Human-readable per-voter table plus the pooled verdict."""
-
-    def name(label: int) -> str:
-        if class_names and 0 <= label < len(class_names):
-            return class_names[label]
-        return f"class_{label}"
-
     lines = []
     lines.append(f"{'voter':<10} {'date':<12} {'label':<20} {'conf':>6}")
     for v in verdict.votes:
         when = v.capture_date.isoformat() if v.capture_date else "-"
-        lines.append(f"{v.source:<10} {when:<12} {name(v.prediction.label):<20} {v.prediction.confidence*100:6.2f}")
+        lines.append(f"{v.source:<10} {when:<12} {class_name(v.prediction.label, class_names):<20} {v.prediction.confidence*100:6.2f}")
     lines.append(
-        f"verdict: {name(verdict.voted_label)} ({verdict.voted_confidence*100:.2f}%)"
+        f"verdict: {class_name(verdict.voted_label, class_names)} ({verdict.voted_confidence*100:.2f}%)"
         f" suspected_attack={'yes' if verdict.suspected_attack else 'no'}"
     )
     if verdict.warnings:

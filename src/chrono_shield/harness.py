@@ -28,6 +28,7 @@ import numpy as np
 from .attack import AttackConfig, ShadowSpec, apply_shadow, run_attack
 from .cnn import (
     Classifier,
+    EmptyDataset,
     ModelConfig,
     ModelWeights,
     TrainConfig,
@@ -481,6 +482,15 @@ def _timed(job, *args, **kwargs):
     return out, time.monotonic() - t0
 
 
+def fit_input_side(model: ModelConfig, ds: LabeledImageSet) -> ModelConfig:
+    """model with its input side cut to the frame height of ds's first
+    training item; a set with no training items raises EmptyDataset."""
+    items = ds.split("train")
+    if not items:
+        raise EmptyDataset("no training items")
+    return dataclasses.replace(model, input_side=min(model.input_side, items[0][0].height))
+
+
 def run_full_sweep(
     out_dir,
     seed: int = 0,
@@ -506,7 +516,7 @@ def run_full_sweep(
 
     log.info("rendering corpus: %d train + %d test per class", scfg.per_class, scfg.test_per_class)
     ds, seconds["synth"] = _timed(synth_dataset, scfg)
-    mcfg = dataclasses.replace(model_config, input_side=min(model_config.input_side, scfg.side))
+    mcfg = fit_input_side(model_config, ds)
 
     # The baseline reads only the corpus and its own augment stream, so the
     # two trainings run side by side; each is timed inside its own job.

@@ -12,7 +12,15 @@ import pytest
 
 from chrono_shield import cli, harness, history
 from chrono_shield.attack import AttackConfig, InvalidConfig
-from chrono_shield.cnn import ModelConfig, ModelWeights, TrainConfig, init_weights, predict_batch, train
+from chrono_shield.cnn import (
+    ModelConfig,
+    ModelWeights,
+    TrainConfig,
+    init_weights,
+    predict_batch,
+    save_weights,
+    train,
+)
 from chrono_shield.codecs import load_image, save_image
 from chrono_shield.configfile import (
     BadConfigLine,
@@ -175,11 +183,11 @@ class TestConfigFile:
         # train.* keys are not consumed by the synth prefix.
         assert scfg == dataclasses.replace(SynthConfig(), side=48)
 
-    def test_nested_dotted_key_skipped(self):
-        # A deeper path under the prefix names no direct field; it is
-        # left for other consumers rather than rejected.
-        cfg = apply_overrides(TrainConfig(), {"train.opt.beta": "0.9"}, "train")
-        assert cfg == TrainConfig()
+    @pytest.mark.parametrize("key", ["train.opt.beta", "train.epochs.x", "train"])
+    def test_nested_dotted_key_rejected(self, key):
+        # A deeper path, or the bare namespace, names no field of the stage.
+        with pytest.raises(UnknownConfigKey, match=repr(key)):
+            apply_overrides(TrainConfig(), {key: "5"}, "train")
 
     def test_bad_bool_rejected(self):
         with pytest.raises(BadConfigLine):
@@ -513,6 +521,28 @@ def test_full_sweep_times_every_stage(tmp_path):
 # CLI
 
 
+# Required arguments of each command that has stage flags.
+CLI_ARGV = {
+    "train": ["train"],
+    "mask": ["mask", "x.png"],
+    "attack": ["attack", "--model", "m.csw", "--image", "x.png", "--label", "stop"],
+    "defend": ["defend", "--model", "m.csw", "--image", "x.png", "--history", "h",
+               "--lat", "0", "--lon", "0", "--heading", "0"],
+}
+FLAG_KEYS = [
+    ("train", "--epochs", "train.epochs", "3"),
+    ("mask", "--low", "mask.low", "40"),
+    ("mask", "--high", "mask.high", "120"),
+    ("mask", "--sigma", "mask.sigma", "1.2"),
+    ("mask", "--min-area", "mask.min_area_frac", "0.02"),
+    ("attack", "--swarm", "attack.swarm", "6"),
+    ("attack", "--iters", "attack.iterations", "4"),
+    ("attack", "--darkening", "attack.darkening", "0.5"),
+    ("attack", "--k", "attack.vertices", "4"),
+    ("defend", "--min-history", "vote.min_history", "5"),
+]
+
+
 @pytest.fixture(scope="class")
 def cli_workspace(tmp_path_factory):
     """Artifacts shared by the CLI smoke tests: config, dataset, weights."""
@@ -645,7 +675,9 @@ class TestCli:
         assert len(os.listdir(dest / "cache" / "queries")) == 1
 
     @pytest.mark.parametrize(
-        "line", ["atack.swarm = 6", "seed = 3", "attack.swarm 6", "attack.swarm = abc", pytest.param(None, id="missing-file")]
+        "line",
+        ["atack.swarm = 6", "seed = 3", "attack.swarm 6", "attack.swarm = abc", "mask.low.x = 5",
+         pytest.param(None, id="missing-file")],
     )
     def test_unknown_config_namespace_rejected(self, tmp_path, capsys, line):
         # Refused before the mask command reaches its (missing) image.
@@ -657,11 +689,45 @@ class TestCli:
         assert rc == 2 and len(err.splitlines()) == 1 and err.startswith("bad input: ")
         assert "none.png" not in err
 
+    @pytest.mark.parametrize(
+        "argv, values",
+        [([*CLI_ARGV[command], flag, value], {key: value}) for command, flag, key, value in FLAG_KEYS]
+        + [(["--seed", "5", *CLI_ARGV[command]], {f"{stage}.seed": "5" for stage in ("synth", "train", "attack")})
+           for command in CLI_ARGV],
+        ids=[flag for _, flag, _, _ in FLAG_KEYS] + [f"--seed-{command}" for command in CLI_ARGV],
+    )
+    def test_flag_is_its_config_key(self, argv, values):
+        configs = cli._configs(cli._build_parser().parse_args(argv))
+        assert configs == {stage: apply_overrides(config(), values, stage) for stage, config in cli._STAGES.items()}
+        assert configs != {stage: config() for stage, config in cli._STAGES.items()}
+
+    def test_flag_beats_config_beats_default(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("attack.swarm = 9\nattack.seed = 4\nattack.iterations = 7\n")
+        argv = ["--seed", "5", "--config", str(cfg), *CLI_ARGV["attack"], "--swarm", "6"]
+        acfg = cli._configs(cli._build_parser().parse_args(argv))["attack"]
+        assert (acfg.swarm, acfg.seed, acfg.iterations, acfg.vertices) == (6, 5, 7, AttackConfig().vertices)
+
+    def test_attack_names_classes_past_the_known_names(self, tmp_path, rng, capsys):
+        weights = init_weights(ModelConfig(input_side=16, channels=(4, 4, 4), num_classes=20), seed=0)
+        weights.fc_b[19] = 100.0
+        model = tmp_path / "twenty.csw"
+        model.write_bytes(save_weights(weights))
+        sign = tmp_path / "sign.png"
+        save_image(render_sign(0, 16, rng), str(sign))
+        rc = cli.main(
+            ["--out", str(tmp_path / "adv.png"), "attack", "--model", str(model), "--image", str(sign),
+             "--label", "stop", "--swarm", "2", "--iters", "1"]
+        )
+        assert rc == 0
+        assert "class_19" in capsys.readouterr().out
+
     BAD_INPUTS = {
         "mask-size": ["attack", "--mask", "{small_mask}"],
         "empty-mask": ["attack", "--mask", "{black_mask}"],
         "k-2": ["attack", "--k", "2"],
         "darkening-0": ["attack", "--darkening", "0"],
+        "swarm-not-int": ["attack", "--swarm", "abc"],
         "no-manifest": ["defend", "--history", "{empty_dir}"],
         "bad-manifest": ["defend", "--history", "{bad_archive}"],
         "unreachable": ["defend", "--history", "http://127.0.0.1:1"],
@@ -695,11 +761,14 @@ class TestCli:
         "mask-blur-radius-0": ["--config", "{cfg_blur_radius_0}", "mask", "{sign}"],
         "mask-dilate-k-0": ["--config", "{cfg_dilate_k_0}", "mask", "{sign}"],
         "mask-close-k-0": ["--config", "{cfg_close_k_0}", "mask", "{sign}"],
+        "sweep-side-20": ["--config", "{cfg_sweep_side_20}", "sweep", "--max-images", "1"],
+        "sweep-10-classes": ["--config", "{cfg_sweep_10_classes}", "sweep", "--max-images", "1"],
+        "sweep-no-test-items": ["--config", "{cfg_sweep_no_test_items}", "sweep", "--max-images", "1"],
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
     def test_bad_input_is_one_stderr_line_and_exit_2(self, cli_workspace, tmp_path, rng, capsys, case):
-        _, _, out = cli_workspace
+        _, tiny_cfg, out = cli_workspace
         sign = tmp_path / "sign.png"
         save_image(render_sign(0, 64, rng), str(sign))
         save_image(flat_image(255, 32, 32), str(tmp_path / "small_mask.png"))
@@ -729,6 +798,12 @@ class TestCli:
         save_image(flat_image(128, 12, 12), str(tmp_path / "data_12px" / "x.png"))
         for key in ("blur_radius", "dilate_k", "close_k"):
             (tmp_path / f"{key}_0.cfg").write_text(f"mask.{key} = 0\n")
+        for name, line in (
+            ("sweep_side_20", "synth.side = 20"),
+            ("sweep_10_classes", "model.num_classes = 10"),
+            ("sweep_no_test_items", "synth.test_per_class = 0"),
+        ):
+            (tmp_path / f"{name}.cfg").write_text(tiny_cfg.read_text() + line + "\n")
         weights = (out / "weights.csw").read_bytes()
         (tmp_path / "corrupt.csw").write_bytes(weights[:-5] + bytes([weights[-5] ^ 1]) + weights[-4:])
         paths = dict(
@@ -753,13 +828,16 @@ class TestCli:
             cfg_blur_radius_0=tmp_path / "blur_radius_0.cfg",
             cfg_dilate_k_0=tmp_path / "dilate_k_0.cfg",
             cfg_close_k_0=tmp_path / "close_k_0.cfg",
+            cfg_sweep_side_20=tmp_path / "sweep_side_20.cfg",
+            cfg_sweep_10_classes=tmp_path / "sweep_10_classes.cfg",
+            cfg_sweep_no_test_items=tmp_path / "sweep_no_test_items.cfg",
         )
         args = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
         options = []  # options before the command
         while args[0].startswith("--"):
             options, args = options + args[:2], args[2:]
         command, *extra = args
-        if command in ("mask", "train"):
+        if command in ("mask", "train", "sweep"):
             argv = [*options, command, *extra]
         else:
             # A later --model, --image or --label in extra overrides these.

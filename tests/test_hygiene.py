@@ -1,6 +1,8 @@
 """Source hygiene checks over the package modules."""
 
+import argparse
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -89,3 +91,32 @@ def test_readme_csv_header_matches_the_code():
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     header = "".join(line for line in block.splitlines() if not line.startswith("#"))
     assert header.split(",") == harness._CSV_HEADER
+
+
+def dotted_dests(parser: argparse.ArgumentParser) -> list[str]:
+    """The dotted dest of every option in parser and its subcommands."""
+    dests = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests += dotted_dests(sub)
+        elif "." in action.dest:
+            dests.append(action.dest)
+    return dests
+
+
+def test_every_stage_flag_names_a_stage_field():
+    """A stage flag's dest is the `<stage>.<field>` config key it sets."""
+    dests = dotted_dests(cli._build_parser())
+    assert len(dests) == 10
+    for dest in dests:
+        stage, _, name = dest.partition(".")
+        assert name in {f.name for f in dataclasses.fields(cli._STAGES[stage])}, dest
+
+
+def test_readme_configuration_table_lists_every_stage_field():
+    """README's "Configuration" table has one row per `<stage>.<field>` key."""
+    section = (ROOT / "README.md").read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", section, re.M)
+    fields = [f"{stage}.{f.name}" for stage, config in cli._STAGES.items() for f in dataclasses.fields(config)]
+    assert sorted(keys) == sorted(fields)
