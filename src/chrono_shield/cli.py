@@ -19,14 +19,12 @@ import os
 import sys
 from datetime import date
 
-from .attack import AttackConfig, DegenerateMask, InvalidConfig, run_attack
+from .attack import DegenerateMask, InvalidConfig, run_attack
 from .cnn import (
     Classifier,
     EmptyDataset,
     LabelOutOfRange,
-    ModelConfig,
     ShapeMismatch,
-    TrainConfig,
     evaluate,
     load_weights,
     save_weights,
@@ -35,14 +33,13 @@ from .cnn import (
 from .codecs import load_image, save_image
 from .configfile import BadConfigLine, UnknownConfigKey, apply_overrides, check_namespaces, parse_config_file
 from .dataset import DatasetMalformed, DatasetMissing, load_dataset, save_dataset
-from .defense import VotePolicy, class_name, defend, format_verdict
+from .defense import class_name, defend, format_verdict
 from .fixture_server import HistoryFixtureServer
-from .harness import emit_report, fit_input_side, run_full_sweep
+from .harness import STAGES, emit_report, fit_input_side, run_full_sweep
 from .history import (
     HistoryQuery,
     ManifestMalformed,
     ManifestMissing,
-    MatchPolicy,
     NetworkUnreachable,
     ProtocolError,
     RemoteHistoryClient,
@@ -50,22 +47,12 @@ from .history import (
 )
 from .masks import BinaryMask, InvalidThresholds, MaskParams, NoContourFound, generate_mask
 from .raster import InvalidRadius, InvalidSigma
-from .synth import CLASS_NAMES, SynthConfig, synth_dataset
+from .synth import CLASS_NAMES, synth_dataset
 
 log = logging.getLogger("chrono_shield")
 
 _IMAGE_EXTS = (".png", ".ppm", ".pgm")
 
-# Each config namespace and the stage config its keys set.
-_STAGES = {
-    "synth": SynthConfig,
-    "train": TrainConfig,
-    "model": ModelConfig,
-    "attack": AttackConfig,
-    "vote": VotePolicy,
-    "match": MatchPolicy,
-    "mask": MaskParams,
-}
 _SEEDED = ("synth", "train", "attack")
 
 
@@ -120,17 +107,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configs(args) -> dict:
-    """{stage: config} for every _STAGES entry: its defaults, then the
+    """{stage: config} for every harness.STAGES entry: its defaults, then the
     --config file, then --seed, then each dotted flag given."""
     try:
         values = parse_config_file(args.config) if args.config else {}
     except (OSError, UnicodeDecodeError) as exc:
         raise BadInput(f"cannot read config {args.config}: {exc}") from exc
-    check_namespaces(values, _STAGES)
+    check_namespaces(values, STAGES)
     if args.seed is not None:
         values.update({f"{stage}.seed": args.seed for stage in _SEEDED})
     values.update({key: value for key, value in vars(args).items() if "." in key and value is not None})
-    return {stage: apply_overrides(config(), values, stage) for stage, config in _STAGES.items()}
+    return {stage: apply_overrides(config(), values, stage) for stage, config in STAGES.items()}
 
 
 class BadInput(ValueError):
@@ -178,13 +165,14 @@ def _load_weights_file(path):
         raise BadInput(f"cannot load model {path}: {exc}") from exc
 
 
-def _attack_mask(path, img) -> tuple[BinaryMask, str]:
-    """The mask file at path, else img's generated mask, else the full
-    frame, with a note for the report line when it is the full frame."""
+def _attack_mask(path, img, params: MaskParams) -> tuple[BinaryMask, str]:
+    """The mask file at path, else img's mask generated with params, else
+    the full frame, with a note for the report line when it is the full
+    frame."""
     if path:
         return BinaryMask.from_image(_read_image(path)), ""
     try:
-        return generate_mask(img), ""
+        return generate_mask(img, params), ""
     except NoContourFound:
         return BinaryMask.full(img.width, img.height), " (full-frame mask: no contour found)"
 
@@ -243,12 +231,12 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    acfg = _configs(args)["attack"]
+    cfg = _configs(args)
     weights = _load_weights_file(args.model)
     img = _read_image(args.image)
     label = _parse_label(args.label)
-    mask, note = _attack_mask(args.mask, img)
-    result = run_attack(img, mask, Classifier(weights), label, acfg)
+    mask, note = _attack_mask(args.mask, img, cfg["mask"])
+    result = run_attack(img, mask, Classifier(weights), label, cfg["attack"])
     path = _out_file(args.out, "adversarial.png")
     save_image(result.adversarial_image, path)
     before = result.original_prediction
@@ -282,17 +270,7 @@ def _cmd_defend(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _configs(args)
-    report = run_full_sweep(
-        args.out,
-        seed=cfg["synth"].seed,
-        synth_config=cfg["synth"],
-        train_config=cfg["train"],
-        model_config=cfg["model"],
-        attack_config=cfg["attack"],
-        vote_policy=cfg["vote"],
-        max_images=args.max_images,
-    )
+    report = run_full_sweep(args.out, _configs(args), args.max_images)
     sys.stdout.write(emit_report(report, "text-table").decode("utf-8"))
     print(f"reports under {args.out}: report.csv report.json report.txt")
     return 0

@@ -38,9 +38,9 @@ from .cnn import (
     train,
 )
 from .dataset import LabeledImageSet
-from .defense import VotePolicy, defend
+from .defense import VotePolicy, class_name, defend
 from .history import HistoryQuery, MatchPolicy, _archive_records, load_manifest
-from .masks import BinaryMask, NoContourFound, generate_mask
+from .masks import BinaryMask, MaskParams, NoContourFound, generate_mask
 from .parallel import map_in_order
 from .raster import RasterImage
 from .synth import SynthConfig, make_history_archive, synth_dataset
@@ -48,6 +48,17 @@ from .synth import SynthConfig, make_history_archive, synth_dataset
 log = logging.getLogger(__name__)
 
 QUERY_DATE = date(2025, 1, 1)  # "now" for archive queries; history predates it
+
+# Each config namespace and the stage config its keys set.
+STAGES = {
+    "synth": SynthConfig,
+    "train": TrainConfig,
+    "model": ModelConfig,
+    "attack": AttackConfig,
+    "vote": VotePolicy,
+    "match": MatchPolicy,
+    "mask": MaskParams,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +141,15 @@ def run_attack_sweep(
     dataset: LabeledImageSet,
     config: AttackConfig = AttackConfig(),
     max_images: int | None = None,
+    *,
+    mask_params: MaskParams = MaskParams(),
 ) -> ExperimentReport:
     """Attack every correctly classified test image; one row per attempt.
 
-    Masks come from the edge/contour pipeline; images where no contour
-    survives fall back to a full-frame mask and the row says so. The PSO
-    seed is re-derived per image so row i is reproducible in isolation.
-    The clean pass that picks the images is serial; the rows then run
+    Masks come from the edge/contour pipeline run with mask_params;
+    images where no contour survives fall back to a full-frame mask and
+    the row says so. The PSO seed is re-derived per image so row i is
+    reproducible in isolation. The clean pass that picks the images is serial; the rows then run
     through map_in_order and come back, with their log lines, in image_id
     order.
     """
@@ -155,7 +168,7 @@ def run_attack_sweep(
         image_id, img, label, clean = target
         note = ""
         try:
-            mask = generate_mask(img)
+            mask = generate_mask(img, mask_params)
         except NoContourFound:
             mask = BinaryMask.full(img.width, img.height)
             note = "full-frame fallback: no contour found"
@@ -182,8 +195,8 @@ def run_attack_sweep(
             attacked,
             max_images if max_images is not None else len(items),
             row.image_id,
-            dataset.class_names[row.true_label],
-            dataset.class_names[row.adv_label],
+            class_name(row.true_label, dataset.class_names),
+            class_name(row.adv_label, dataset.class_names),
             "flipped" if row.success else "held",
         )
     return report
@@ -322,11 +335,6 @@ _CSV_HEADER = [
 ]
 
 
-def _namer(class_names: list[str]):
-    """Label index -> class name; the index itself when the report has none."""
-    return (lambda i: class_names[i]) if class_names else str
-
-
 def _by_id(rows: list) -> list:
     return sorted(rows, key=lambda r: r.image_id)
 
@@ -377,7 +385,7 @@ def _emit_csv(report: ExperimentReport) -> bytes:
         buf.write(f"# {key}={_pct(rate)}\n")
     writer = _csv.DictWriter(buf, fieldnames=_CSV_HEADER, restval="", lineterminator="\n")
     writer.writeheader()
-    name = _namer(report.class_names)
+    name = partial(class_name, class_names=report.class_names)
     defense = {r.image_id: r for r in report.defense_rows}
     for a in _by_id(report.attack_rows):
         writer.writerow(_csv_row(a, defense.get(a.image_id), name))
@@ -412,7 +420,7 @@ def _emit_json(report: ExperimentReport) -> bytes:
 
 
 def _emit_text(report: ExperimentReport) -> bytes:
-    name = _namer(report.class_names)
+    name = partial(class_name, class_names=report.class_names)
     lines: list[str] = []
     if report.attack_rows:
         lines.append(f"Attack sweep ({len(report.attack_rows)} images)")
@@ -491,56 +499,54 @@ def fit_input_side(model: ModelConfig, ds: LabeledImageSet) -> ModelConfig:
     return dataclasses.replace(model, input_side=min(model.input_side, items[0][0].height))
 
 
-def run_full_sweep(
-    out_dir,
-    seed: int = 0,
-    synth_config: SynthConfig | None = None,
-    train_config: TrainConfig | None = None,
-    model_config: ModelConfig = ModelConfig(),
-    attack_config: AttackConfig | None = None,
-    vote_policy: VotePolicy = VotePolicy(),
-    max_images: int | None = None,
-) -> ExperimentReport:
+def run_full_sweep(out_dir, stages: dict | None = None, max_images: int | None = None) -> ExperimentReport:
     """synth -> train and baseline -> attack -> archive -> defend -> report.
 
+    stages maps a STAGES namespace to its config; a namespace left out
+    takes its defaults, so run_full_sweep(out_dir) is the seed-0 run.
     Writes report.csv / report.json / report.txt plus both weight files
-    under out_dir. All stages are seeded from `seed` by fixed offsets, so
-    the csv report is byte-identical across runs.
+    under out_dir. The augment stream and the archive are seeded from
+    synth.seed by fixed offsets, so the csv report is byte-identical
+    across runs.
     """
     sweep_start = time.monotonic()
     os.makedirs(str(out_dir), exist_ok=True)
-    scfg = synth_config or SynthConfig(seed=seed)
-    tcfg = train_config or TrainConfig(seed=seed)
-    acfg = attack_config or AttackConfig(seed=seed)
+    cfg = {stage: config() for stage, config in STAGES.items()} | (stages or {})
+    seed = cfg["synth"].seed
     seconds = {}
 
-    log.info("rendering corpus: %d train + %d test per class", scfg.per_class, scfg.test_per_class)
-    ds, seconds["synth"] = _timed(synth_dataset, scfg)
-    mcfg = fit_input_side(model_config, ds)
+    log.info("rendering corpus: %d train + %d test per class", cfg["synth"].per_class, cfg["synth"].test_per_class)
+    ds, seconds["synth"] = _timed(synth_dataset, cfg["synth"])
+    mcfg = fit_input_side(cfg["model"], ds)
+    test_items = ds.split("test")
+    if not test_items:
+        raise EmptyDataset("no test items")
 
     # The baseline reads only the corpus and its own augment stream, so the
     # two trainings run side by side; each is timed inside its own job.
     (weights, seconds["train"]), (baseline, seconds["baseline"]) = map_in_order(
         _timed,
         [
-            partial(train, ds, tcfg, mcfg),
-            partial(train_adversarial_baseline, ds, acfg, tcfg, mcfg, augment_seed=seed + 17),
+            partial(train, ds, cfg["train"], mcfg),
+            partial(train_adversarial_baseline, ds, cfg["attack"], cfg["train"], mcfg, augment_seed=seed + 17),
         ],
     )
-    (accuracy, _), seconds["evaluate"] = _timed(evaluate, weights, ds.split("test"))
+    (accuracy, _), seconds["evaluate"] = _timed(evaluate, weights, test_items)
     log.info("clean model: %.2f%% test accuracy in %.1fs", accuracy * 100, seconds["train"])
 
-    attacked, seconds["attack"] = _timed(run_attack_sweep, weights, ds, acfg, max_images=max_images)
+    attacked, seconds["attack"] = _timed(
+        run_attack_sweep, weights, ds, cfg["attack"], max_images=max_images, mask_params=cfg["mask"]
+    )
     archive_root = os.path.join(str(out_dir), "archive")
-    labels = [label for _, label in ds.split("test")]
+    labels = [label for _, label in test_items]
     coords, seconds["archive"] = _timed(
         make_history_archive,
-        labels, archive_root, side=scfg.side, renders_per_sign=vote_policy.min_history, seed=seed + 1,
+        labels, archive_root, side=cfg["synth"].side, renders_per_sign=cfg["vote"].min_history, seed=seed + 1,
     )
     report, seconds["defense"] = _timed(
         run_defense_sweep,
         weights, attacked.attack_rows, archive_root, coords,
-        baseline=baseline, policy=vote_policy, class_names=ds.class_names,
+        baseline=baseline, policy=cfg["vote"], match=cfg["match"], class_names=ds.class_names,
     )
     report.meta = {
         "seed": seed,

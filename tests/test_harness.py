@@ -35,6 +35,7 @@ from chrono_shield.harness import (
     DefenseRecord,
     ExperimentReport,
     QUERY_DATE,
+    VoterRow,
     emit_report,
     run_attack_sweep,
     run_defense_sweep,
@@ -42,6 +43,7 @@ from chrono_shield.harness import (
     train_adversarial_baseline,
 )
 from chrono_shield.history import HistoryQuery, ManifestMissing, query_archive
+from chrono_shield.masks import BinaryMask, MaskParams
 from chrono_shield.synth import (
     CLASS_NAMES,
     PROBE_SHAPES,
@@ -390,6 +392,27 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(self.sample(), "yaml")
 
+    def test_label_past_the_names_reads_class_n(self):
+        # A model may have more outputs than the corpus has names.
+        r = ExperimentReport(class_names=["stop", "yield"])
+        r.attack_rows = [attack_row(0, True, adv_label=19)]
+        r.defense_rows = [
+            dataclasses.replace(
+                defense_row(0, defense_ok=False, baseline_ok=False),
+                no_defense_label=19, voted_label=19, baseline_label=19,
+                voters=(VoterRow(source="current", capture_date="", label=19, confidence=0.7),),
+            )
+        ]
+        lines = [line for line in emit_report(r, "csv").decode().splitlines() if not line.startswith("#")]
+        row = next(csv.DictReader(lines))
+        assert (row["true"], row["adv"], row["baseline"], row["voted"]) == ("stop", "class_19", "class_19", "class_19")
+        assert row["voters"] == "current::class_19:70.00"
+        assert emit_report(r, "text-table").decode().count("class_19") == 3  # adversarial, voted, voter
+        doc = json.loads(emit_report(r, "json"))
+        assert doc["attack_rows"][0]["adv_label"] == 19 and doc["defense_rows"][0]["voters"][0]["label"] == 19
+        # With no names at all, every label reads class_<n>.
+        assert b"class_0,class_0" in emit_report(ExperimentReport(class_names=[], attack_rows=[attack_row(0)]), "csv")
+
 
 # ---------------------------------------------------------------------------
 # Adversarial-training baseline
@@ -501,13 +524,78 @@ class TestDefenseSweep:
             assert records == query_archive(tmp_path, query)
 
 
+TINY_STAGES = {
+    "synth": SynthConfig(per_class=1, test_per_class=1, side=16, seed=0),
+    "train": TrainConfig(epochs=1, seed=0),
+    "model": TINY_MODEL,
+    "attack": AttackConfig(swarm=2, iterations=1, seed=0),
+}
+
+
+# One value for each MaskParams and MatchPolicy field, each off its default.
+MASK_AND_MATCH_KEYS = {
+    "mask.sigma": 1.1,
+    "mask.blur_radius": 3,
+    "mask.low": 40.0,
+    "mask.high": 120.0,
+    "mask.dilate_k": 2,
+    "mask.close_k": 3,
+    "mask.min_area_frac": 0.02,
+    "match.radius_m": 30.0,
+    "match.heading_tol_deg": 40.0,
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_reads(tmp_path_factory):
+    """{stage: [config]}: the MaskParams each generate_mask call and the
+    MatchPolicy each filter_entries call received in a tiny sweep with every
+    MASK_AND_MATCH_KEYS key set. Training is stubbed with a model that always
+    answers label 0, so the label-0 test image is attacked and defended."""
+    stages = dict(TINY_STAGES)
+    for key, value in MASK_AND_MATCH_KEYS.items():
+        stage, _, name = key.partition(".")
+        stages[stage] = dataclasses.replace(stages.get(stage, harness.STAGES[stage]()), **{name: value})
+    seen = {"mask": [], "match": []}
+    filter_entries = history.filter_entries
+
+    def fake_train(ds, train_config, model_config):
+        weights = init_weights(model_config)
+        weights.fc_b[0] = 100.0
+        return weights
+
+    def spy_mask(img, params=MaskParams()):
+        seen["mask"].append(params)
+        return BinaryMask.full(img.width, img.height)
+
+    def spy_filter(entries, query, policy):
+        seen["match"].append(policy)
+        return filter_entries(entries, query, policy)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "train", fake_train)
+        mp.setattr(harness, "generate_mask", spy_mask)
+        mp.setattr(history, "filter_entries", spy_filter)
+        run_full_sweep(tmp_path_factory.mktemp("keys"), stages, max_images=1)
+    return seen
+
+
+def test_mask_and_match_table_lists_every_field():
+    fields = [f"{stage}.{f.name}" for stage in ("mask", "match") for f in dataclasses.fields(harness.STAGES[stage])]
+    assert sorted(MASK_AND_MATCH_KEYS) == sorted(fields)
+
+
+@pytest.mark.parametrize("key", list(MASK_AND_MATCH_KEYS))
+def test_mask_and_match_keys_reach_the_sweep(sweep_reads, key):
+    stage, _, name = key.partition(".")
+    value = MASK_AND_MATCH_KEYS[key]
+    assert getattr(harness.STAGES[stage](), name) != value
+    assert len(sweep_reads[stage]) >= 1
+    assert [getattr(config, name) for config in sweep_reads[stage]] == [value] * len(sweep_reads[stage])
+
+
 def test_full_sweep_times_every_stage(tmp_path):
-    synth = SynthConfig(per_class=1, test_per_class=1, side=16, seed=0)
-    run_full_sweep(
-        tmp_path, seed=0, synth_config=synth, train_config=TrainConfig(epochs=1, seed=0),
-        model_config=TINY_MODEL, attack_config=AttackConfig(swarm=2, iterations=1, seed=0),
-        max_images=1,
-    )
+    run_full_sweep(tmp_path, TINY_STAGES, max_images=1)
     meta = json.loads((tmp_path / "report.json").read_text())["meta"]
     stages = ("synth", "train", "baseline", "evaluate", "attack", "archive", "defense")
     assert all(meta[f"{stage}_seconds"] >= 0.0 for stage in stages)
@@ -637,6 +725,23 @@ class TestCli:
         adv = load_image(str(dest))
         assert (adv.width, adv.height) == (16, 16)
 
+    def test_attack_reads_mask_keys(self, cli_workspace, tmp_path, rng, monkeypatch):
+        _, _, out = cli_workspace
+        sign = tmp_path / "sign.png"
+        save_image(render_sign(0, 16, rng), str(sign))
+        cfg = tmp_path / "mask.cfg"
+        cfg.write_text("mask.low = 40\nmask.high = 120\n")
+        seen = []
+        generate_mask = cli.generate_mask
+        monkeypatch.setattr(cli, "generate_mask", lambda img, params: seen.append(params) or generate_mask(img, params))
+        rc = cli.main(
+            ["--config", str(cfg), "--out", str(tmp_path / "adv.png"), "attack",
+             "--model", str(out / "weights.csw"), "--image", str(sign),
+             "--label", "stop", "--swarm", "2", "--iters", "1"]
+        )
+        assert rc == 0
+        assert [(params.low, params.high) for params in seen] == [(40.0, 120.0)]
+
     def test_defend_prints_verdict(self, cli_workspace, tmp_path, rng, capsys):
         root, cfg, out = cli_workspace
         archive = tmp_path / "archive"
@@ -698,8 +803,8 @@ class TestCli:
     )
     def test_flag_is_its_config_key(self, argv, values):
         configs = cli._configs(cli._build_parser().parse_args(argv))
-        assert configs == {stage: apply_overrides(config(), values, stage) for stage, config in cli._STAGES.items()}
-        assert configs != {stage: config() for stage, config in cli._STAGES.items()}
+        assert configs == {stage: apply_overrides(config(), values, stage) for stage, config in harness.STAGES.items()}
+        assert configs != {stage: config() for stage, config in harness.STAGES.items()}
 
     def test_flag_beats_config_beats_default(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -721,6 +826,34 @@ class TestCli:
         )
         assert rc == 0
         assert "class_19" in capsys.readouterr().out
+
+    def test_sweep_names_classes_past_the_corpus_names(self, tmp_path):
+        # 20 model outputs against 16 class names; at this seed an attack
+        # flips a sign to one of the four unnamed labels.
+        cfg = tmp_path / "twenty.cfg"
+        cfg.write_text(
+            "synth.per_class = 1\n"
+            "synth.test_per_class = 3\n"
+            "synth.side = 16\n"
+            "train.epochs = 1\n"
+            "attack.swarm = 6\n"
+            "attack.iterations = 4\n"
+            "model.channels = 4,4,4\n"
+            "model.num_classes = 20\n"
+        )
+        out = tmp_path / "o"
+        assert cli.main(["--seed", "11", "--config", str(cfg), "--out", str(out), "sweep"]) == 0
+        assert "class_" in (out / "report.csv").read_text()
+
+    def test_sweep_without_test_items_trains_nothing(self, cli_workspace, tmp_path, monkeypatch, capsys):
+        _, tiny_cfg, _ = cli_workspace
+        cfg = tmp_path / "no_test.cfg"
+        cfg.write_text(tiny_cfg.read_text() + "synth.test_per_class = 0\n")
+        calls = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: calls.append(args))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
+        assert (rc, calls) == (2, [])
+        assert capsys.readouterr().err == "bad input: no test items\n"
 
     BAD_INPUTS = {
         "mask-size": ["attack", "--mask", "{small_mask}"],

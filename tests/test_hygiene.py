@@ -111,12 +111,12 @@ def test_every_stage_flag_names_a_stage_field():
     assert len(dests) == 10
     for dest in dests:
         stage, _, name = dest.partition(".")
-        assert name in {f.name for f in dataclasses.fields(cli._STAGES[stage])}, dest
+        assert name in {f.name for f in dataclasses.fields(harness.STAGES[stage])}, dest
 
 
 def test_readme_configuration_table_lists_every_stage_field():
     """README's "Configuration" table has one row per `<stage>.<field>` key."""
     section = (ROOT / "README.md").read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
     keys = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", section, re.M)
-    fields = [f"{stage}.{f.name}" for stage, config in cli._STAGES.items() for f in dataclasses.fields(config)]
+    fields = [f"{stage}.{f.name}" for stage, config in harness.STAGES.items() for f in dataclasses.fields(config)]
     assert sorted(keys) == sorted(fields)
