@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import socket
 import threading
 from datetime import date
@@ -24,7 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from . import codecs
-from .history import HistoryQuery, MatchPolicy, dump_manifest, filter_entries, load_manifest, resolve_inside
+from .history import HistoryQuery, LocalArchive, MatchPolicy, dump_manifest, filter_entries, resolve_inside
 
 
 # Every thread a HistoryFixtureServer starts carries this name prefix.
@@ -70,23 +69,23 @@ class _Handler(BaseHTTPRequestHandler):
                 query = HistoryQuery(
                     location=(float(qs["lat"][0]), float(qs["lon"][0])),
                     heading=float(qs["heading"][0]) if "heading" in qs else 0.0,
-                    max_records=int(qs["max"][0]) if "max" in qs else max(len(fixture.entries), 1),
+                    max_records=int(qs["max"][0]) if "max" in qs else max(len(fixture.archive.entries), 1),
                     before=date.fromisoformat(qs["before"][0]) if "before" in qs else None,
                 )
             except (KeyError, ValueError) as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
-            policy = fixture.policy
+            policy = fixture.archive.policy
             if "heading" not in qs:
                 policy = dataclasses.replace(policy, heading_tol_deg=180.0)
-            entries = filter_entries(fixture.entries, query, policy)
+            entries = filter_entries(fixture.archive.entries, query, policy)
             rows = [dataclasses.replace(e, path=f"image/{e.path}") for e in entries]
             self._send(200, dump_manifest(rows, path_key="image_url"), "application/json")
             return
         if parsed.path.startswith("/image/"):
             fixture.count("image")
             rel = unquote(parsed.path[len("/image/") :])
-            full = resolve_inside(fixture.real_root, rel)
+            full = resolve_inside(fixture.archive.real_root, rel)
             if full is None:
                 self._send_json(403, {"error": "path escapes archive"})
                 return
@@ -149,17 +148,13 @@ class _Server(ThreadingHTTPServer):
 class HistoryFixtureServer:
     """Threaded archive server; use as a context manager in tests.
 
-    manifest.json is read and the root's real path resolved once, at
-    start, before the socket is bound: a missing or malformed archive
-    raises ManifestMissing or ManifestMalformed here, and later edits to
-    the manifest are not seen.
+    It serves self.archive, a LocalArchive built before the socket is
+    bound: a missing or malformed archive raises ManifestMissing or
+    ManifestMalformed here, and later edits to the manifest are not seen.
     """
 
     def __init__(self, root, host: str = "127.0.0.1", port: int = 0, policy: MatchPolicy = MatchPolicy()):
-        self.root = str(root)
-        self.real_root = os.path.realpath(self.root)
-        self.entries = load_manifest(self.root)
-        self.policy = policy
+        self.archive = LocalArchive(root, policy)
         self.force_history_status: int | None = None
         self._counters = {"history": 0, "image": 0}
         self._lock = threading.Lock()

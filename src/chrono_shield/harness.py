@@ -39,7 +39,7 @@ from .cnn import (
 )
 from .dataset import LabeledImageSet
 from .defense import VotePolicy, class_name, defend
-from .history import HistoryQuery, MatchPolicy, _archive_records, load_manifest
+from .history import HistoryQuery, LocalArchive, MatchPolicy
 from .masks import BinaryMask, MaskParams, NoContourFound, generate_mask
 from .parallel import map_in_order
 from .raster import RasterImage
@@ -237,22 +237,21 @@ def train_adversarial_baseline(
 def run_defense_sweep(
     weights: ModelWeights,
     attack_rows: list[AttackRecord],
-    archive_root,
+    history,
     coords: list[tuple[float, float, float]],
     baseline: ModelWeights | None = None,
     policy: VotePolicy = VotePolicy(),
-    match: MatchPolicy = MatchPolicy(),
     class_names: list[str] | None = None,
 ) -> ExperimentReport:
     """Defend each attacked frame with archived history of the same sign.
 
-    coords[image_id] gives the (lat, lon, heading) the sign was archived
-    under. Produces the three comparison columns per row: undefended
-    label, baseline model's label, and the voted label. The returned
-    report carries attack_rows as well, so each defense row has its attack
-    row beside it; rows without an adversarial image get no defense row.
+    history is any source with query(HistoryQuery); each sign is queried
+    at the (lat, lon, heading) coords[image_id] it was archived under.
+    Produces the undefended, the baseline model's and the voted label per
+    row. The returned report carries attack_rows as well, so each defense
+    row has its attack row beside it; rows without an adversarial image
+    get no defense row.
     """
-    entries = load_manifest(archive_root)  # read once; a missing archive fails before any row
     report = ExperimentReport(class_names=list(class_names or []), attack_rows=list(attack_rows))
     for row in attack_rows:
         if row.adversarial_image is None:
@@ -264,7 +263,7 @@ def run_defense_sweep(
             max_records=policy.min_history,
             before=QUERY_DATE,
         )
-        records = _archive_records(archive_root, entries, query, match)
+        records = history.query(query)
         verdict = defend(row.adversarial_image, records, weights, policy)
         voters = tuple(
             VoterRow(
@@ -545,8 +544,8 @@ def run_full_sweep(out_dir, stages: dict | None = None, max_images: int | None =
     )
     report, seconds["defense"] = _timed(
         run_defense_sweep,
-        weights, attacked.attack_rows, archive_root, coords,
-        baseline=baseline, policy=cfg["vote"], match=cfg["match"], class_names=ds.class_names,
+        weights, attacked.attack_rows, LocalArchive(archive_root, cfg["match"]), coords,
+        baseline=baseline, policy=cfg["vote"], class_names=ds.class_names,
     )
     report.meta = {
         "seed": seed,

@@ -1,4 +1,4 @@
-"""Historical imagery lookup: local archives and a remote history service.
+"""Historical imagery sources: a LocalArchive and a RemoteHistoryClient, each with query().
 
 An archive is a directory with a manifest.json (a JSON array of
 {"path", "date", "lat", "lon", "heading"}) plus image files. The remote
@@ -173,12 +173,16 @@ def _parse_archive_manifest(text: str) -> tuple[ManifestEntry, ...]:
 def load_manifest(root) -> list[ManifestEntry]:
     """The archive's manifest rows. The file is read on every call; only
     the parse of the text last read is kept, so an edited file is parsed
-    afresh."""
+    afresh. A manifest that is not UTF-8 is ManifestMalformed."""
     path = os.path.join(root, "manifest.json")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ManifestMissing(f"no manifest.json under {root}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(_parse_archive_manifest(fh.read()))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return list(_parse_archive_manifest(data.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise ManifestMalformed(f"manifest is not UTF-8: {exc}") from None
 
 
 def filter_entries(
@@ -235,31 +239,23 @@ def _records(entries: list[ManifestEntry], fetch, source: str) -> tuple[list[His
     return records, len(entries) - len(records)
 
 
-def query_archive(
-    root,
-    query: HistoryQuery,
-    policy: MatchPolicy = MatchPolicy(),
-) -> list[HistoricalRecord]:
-    """Matching records from a local archive directory, newest first.
+class LocalArchive:
+    """A local archive directory as a history source. Its manifest is read
+    and parsed, and the root's real path resolved, once, when it is built,
+    so a bad archive fails here and later edits are not seen. query()
+    answers as RemoteHistoryClient.query does; an entry whose image is
+    missing, unreadable or outside the root is skipped with a logged note."""
 
-    Entries whose image file is missing or unreadable are skipped with a
-    logged note rather than failing the query.
-    """
-    return _archive_records(root, load_manifest(root), query, policy)
+    def __init__(self, root, policy: MatchPolicy = MatchPolicy()):
+        self.root = str(root)
+        self.real_root = os.path.realpath(self.root)
+        self.entries = load_manifest(self.root)
+        self.policy = policy
 
-
-def _archive_records(
-    root, entries: list[ManifestEntry], query: HistoryQuery, policy: MatchPolicy
-) -> list[HistoricalRecord]:
-    """query_archive against entries already loaded from root's manifest.
-    An entry whose path resolves outside root is skipped like an unreadable
-    image."""
-    real_root = os.path.realpath(root)
-
-    def load(path: str) -> RasterImage | None:
-        full = resolve_inside(real_root, path)
+    def _load(self, path: str) -> RasterImage | None:
+        full = resolve_inside(self.real_root, path)
         if full is None:
-            log.warning("skipping archive path %r: it resolves outside %s", path, real_root)
+            log.warning("skipping archive path %r: it resolves outside %s", path, self.real_root)
             return None
         try:
             return codecs.load_image(full)
@@ -267,8 +263,15 @@ def _archive_records(
             log.warning("skipping unreadable archive image %s: %s", full, exc)
             return None
 
-    records, _ = _records(filter_entries(entries, query, policy), load, "archive")
-    return records
+    def query(self, query: HistoryQuery) -> list[HistoricalRecord]:
+        """Matching records, newest first."""
+        records, _ = _records(filter_entries(self.entries, query, self.policy), self._load, "archive")
+        return records
+
+
+def query_archive(root, query: HistoryQuery, policy: MatchPolicy = MatchPolicy()) -> list[HistoricalRecord]:
+    """LocalArchive(root, policy).query(query), the manifest read afresh."""
+    return LocalArchive(root, policy).query(query)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,14 @@ from chrono_shield.harness import (
     run_full_sweep,
     train_adversarial_baseline,
 )
-from chrono_shield.history import HistoryQuery, ManifestMissing, query_archive
+from chrono_shield.history import (
+    HistoryQuery,
+    LocalArchive,
+    ManifestMissing,
+    MatchPolicy,
+    RemoteHistoryClient,
+    query_archive,
+)
 from chrono_shield.masks import BinaryMask, MaskParams
 from chrono_shield.synth import (
     CLASS_NAMES,
@@ -450,7 +457,7 @@ class TestDefenseSweep:
     def test_missing_archive(self, tmp_path):
         with pytest.raises(ManifestMissing):
             run_defense_sweep(
-                zeroed(TINY_MODEL), [], tmp_path, coords=[], class_names=list(CLASS_NAMES)
+                zeroed(TINY_MODEL), [], LocalArchive(tmp_path), coords=[], class_names=list(CLASS_NAMES)
             )
 
     def test_single_row_wiring(self, tmp_path, rng):
@@ -464,7 +471,7 @@ class TestDefenseSweep:
         ]
         weights = zeroed(ModelConfig(input_side=16, channels=(4, 4, 4), num_classes=16))
         report = run_defense_sweep(
-            weights, rows, tmp_path, coords=coords, baseline=weights,
+            weights, rows, LocalArchive(tmp_path), coords=coords, baseline=weights,
             class_names=list(CLASS_NAMES),
         )
         assert len(report.defense_rows) == 1
@@ -511,10 +518,9 @@ class TestDefenseSweep:
             return real_defend(image, records, weights, policy)
 
         monkeypatch.setattr(history, "load_manifest", counting_load)
-        monkeypatch.setattr(harness, "load_manifest", counting_load)
         monkeypatch.setattr(harness, "defend", spy_defend)
         report = run_defense_sweep(
-            zeroed(TINY_MODEL), rows, tmp_path, coords=coords, class_names=list(CLASS_NAMES)
+            zeroed(TINY_MODEL), rows, LocalArchive(tmp_path), coords=coords, class_names=list(CLASS_NAMES)
         )
         assert len(report.defense_rows) == len(labels)
         assert len(loads) == 1
@@ -522,6 +528,30 @@ class TestDefenseSweep:
             query = HistoryQuery(location=(lat, lon), heading=heading, max_records=3, before=QUERY_DATE)
             assert len(records) == 3
             assert records == query_archive(tmp_path, query)
+
+    @pytest.mark.parametrize("match", [MatchPolicy(), MatchPolicy(radius_m=200.0)], ids=["default", "radius-200"])
+    def test_remote_history_writes_the_local_report(self, tmp_path, rng, match):
+        # The same sweep against a fixture server over the archive writes
+        # the same report.csv bytes, but for each voter's source. A 200 m
+        # radius reaches the neighbouring poles (111 m apart), so the
+        # server's and the client's policy both take part.
+        labels = [5, 2, 9, 0, 13]
+        coords = make_history_archive(labels, tmp_path, side=32, renders_per_sign=3, seed=2)
+        rows = [
+            attack_row(i, success=True, true_label=label, clean_label=label,
+                       adversarial_image=render_sign(label, 32, rng))
+            for i, label in enumerate(labels)
+        ]
+        weights = init_weights(TINY_MODEL, seed=1)
+        kw = dict(coords=coords, baseline=zeroed(TINY_MODEL), class_names=list(CLASS_NAMES))
+        local = emit_report(run_defense_sweep(weights, rows, LocalArchive(tmp_path, match), **kw), "csv")
+        with HistoryFixtureServer(tmp_path, policy=match) as server:
+            client = RemoteHistoryClient(server.url, policy=match)
+            remote = emit_report(run_defense_sweep(weights, rows, client, **kw), "csv")
+            client.close()
+            assert server.stats()["history"] == len(labels)
+        assert remote.count(b"remote:") == local.count(b"archive:") == 3 * len(labels)
+        assert remote.replace(b"remote:", b"archive:") == local
 
 
 TINY_STAGES = {
@@ -863,6 +893,8 @@ class TestCli:
         "swarm-not-int": ["attack", "--swarm", "abc"],
         "no-manifest": ["defend", "--history", "{empty_dir}"],
         "bad-manifest": ["defend", "--history", "{bad_archive}"],
+        "manifest-not-utf8": ["defend", "--history", "{not_utf8_archive}"],
+        "manifest-is-dir": ["defend", "--history", "{dir_manifest_archive}"],
         "unreachable": ["defend", "--history", "http://127.0.0.1:1"],
         "endpoint-bad-port": ["defend", "--history", "http://127.0.0.1:abc"],
         "attack-missing-image": ["attack", "--image", "{missing}"],
@@ -909,6 +941,9 @@ class TestCli:
         (tmp_path / "empty").mkdir()
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "manifest.json").write_text("not json")
+        (tmp_path / "not_utf8").mkdir()
+        (tmp_path / "not_utf8" / "manifest.json").write_bytes(b'[{"path": "\xff.png"}]')
+        (tmp_path / "dir_manifest" / "manifest.json").mkdir(parents=True)
         (tmp_path / "deep").mkdir()
         (tmp_path / "deep" / "manifest.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "rank0.csw").write_bytes(csw1_container([()] * 8))
@@ -945,6 +980,8 @@ class TestCli:
             black_mask=tmp_path / "black_mask.png",
             empty_dir=tmp_path / "empty",
             bad_archive=tmp_path / "bad",
+            not_utf8_archive=tmp_path / "not_utf8",
+            dir_manifest_archive=tmp_path / "dir_manifest",
             missing=tmp_path / "missing.png",
             not_image=tmp_path / "not_image.png",
             missing_model=tmp_path / "missing.csw",

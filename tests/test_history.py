@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import shutil
+import ssl
 import struct
 import threading
 import tracemalloc
@@ -27,6 +28,7 @@ from chrono_shield.fixture_server import HistoryFixtureServer, _Handler
 from chrono_shield.history import (
     HistoricalRecord,
     HistoryQuery,
+    LocalArchive,
     ManifestEntry,
     ManifestMalformed,
     ManifestMissing,
@@ -90,6 +92,19 @@ def raw_server(routes, redirects=None):
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=5)
+
+
+def bad_manifest(root, kind: str) -> None:
+    """Make root's manifest.json bytes that are not UTF-8 ("not-utf8") or a
+    directory ("is-dir")."""
+    path = Path(root) / "manifest.json"
+    if kind == "is-dir":
+        path.mkdir()
+    else:
+        path.write_bytes(b'[{"path": "\xff.png"}]')
+
+
+BAD_MANIFESTS = [("not-utf8", ManifestMalformed), ("is-dir", ManifestMissing)]
 
 
 def count_connects(client):
@@ -209,6 +224,12 @@ class TestManifest:
 
     def test_load_manifest_missing(self, tmp_path):
         with pytest.raises(ManifestMissing):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("kind, error", BAD_MANIFESTS)
+    def test_load_manifest_not_utf8_or_not_a_file(self, tmp_path, kind, error):
+        bad_manifest(tmp_path, kind)
+        with pytest.raises(error):
             load_manifest(tmp_path)
 
     BAD_NUMBERS = [
@@ -408,6 +429,72 @@ class TestQueryArchive:
             remote = RemoteHistoryClient(server.url).query(query)
         assert answer(local) == answer(remote)
         assert [r.image.pixels[0, 0, 0] for r in local] == [200]
+
+
+class TestLocalArchive:
+    def test_keeps_root_real_root_entries_and_policy(self, archive, tmp_path):
+        root, _ = archive
+        link = tmp_path / "link"
+        link.symlink_to(root)
+        local = LocalArchive(link)
+        assert (local.root, local.real_root, local.policy) == (str(link), os.path.realpath(root), MatchPolicy())
+        assert local.entries == load_manifest(root)
+
+    def test_manifest_is_read_once_when_built(self, archive, tmp_path, monkeypatch):
+        root, coords = archive
+        clone = tmp_path / "clone"
+        shutil.copytree(root, clone)
+        loads, real_load = [], history.load_manifest
+        monkeypatch.setattr(history, "load_manifest", lambda r: loads.append(r) or real_load(r))
+        local = LocalArchive(clone)
+        want = [answer(local.query(fresh_query(coords, i))) for i in range(len(coords))]
+        assert len(loads) == 1 and all(len(w) == 3 for w in want)
+        # A later edit is not seen: the entries were parsed at build time.
+        (clone / "manifest.json").write_text("[]")
+        assert [answer(local.query(fresh_query(coords, i))) for i in range(len(coords))] == want
+        assert len(loads) == 1
+
+    def test_policy_is_applied(self, archive):
+        root, coords = archive
+        lat, lon, heading = coords[0]
+        q = HistoryQuery(location=(lat, lon), heading=heading + 90.0, before=date(2025, 1, 1))
+        assert LocalArchive(root).query(q) == []
+        wide = MatchPolicy(heading_tol_deg=90.0)
+        got = LocalArchive(root, wide).query(q)
+        assert len(got) == 3 and answer(got) == answer(query_archive(root, q, wide))
+
+    @pytest.mark.parametrize("kind, error", BAD_MANIFESTS)
+    def test_bad_manifest_fails_when_built(self, tmp_path, kind, error):
+        bad_manifest(tmp_path, kind)
+        with pytest.raises(error):
+            LocalArchive(tmp_path)
+
+    def test_missing_unreadable_and_outside_images_are_skipped_and_logged(self, tmp_path, caplog):
+        root = tmp_path / "arch"
+        root.mkdir()
+        save_image(flat_image(200, 8, 8), str(root / "inside.png"))
+        save_image(flat_image(7, 8, 8), str(tmp_path / "outside.png"))
+        (root / "bad.png").write_bytes(b"not an image")
+        paths = ["inside.png", "missing.png", "bad.png", "../outside.png"]
+        rows = [
+            {"path": p, "date": f"201{i}-01-01", "lat": 40.0, "lon": -74.0, "heading": 90.0}
+            for i, p in enumerate(paths)
+        ]
+        (root / "manifest.json").write_text(json.dumps(rows))
+        local = LocalArchive(root)
+        with caplog.at_level("WARNING", logger="chrono_shield.history"):
+            records = local.query(HistoryQuery(location=(40.0, -74.0), heading=90.0, max_records=4))
+        assert [r.image.pixels[0, 0, 0] for r in records] == [200]
+        real = os.path.realpath(root)
+        assert [m.split(":")[0] for m in caplog.messages] == [
+            "skipping archive path '../outside.png'",
+            f"skipping unreadable archive image {real}/bad.png",
+            f"skipping unreadable archive image {real}/missing.png",
+        ]
+
+
+TLS_CERT = Path(__file__).parent / "data" / "tls_cert.pem"
+TLS_KEY = Path(__file__).parent / "data" / "tls_key.pem"
 
 
 class TestFixtureServer:
@@ -825,6 +912,49 @@ class TestFixtureServer:
     def test_missing_archive_fails_at_start(self, tmp_path):
         with pytest.raises(ManifestMissing):
             HistoryFixtureServer(tmp_path)
+
+    @pytest.mark.parametrize("kind, error", BAD_MANIFESTS)
+    def test_bad_manifest_fails_at_start(self, tmp_path, kind, error):
+        bad_manifest(tmp_path, kind)
+        with pytest.raises(error):
+            HistoryFixtureServer(tmp_path)
+
+    def test_serves_its_local_archive_and_policy(self, archive, tmp_path):
+        # The server's one archive is a LocalArchive with its policy: a wide
+        # heading tolerance reaches the remote client's neighbourhood fetch.
+        root, coords = archive
+        lat, lon, heading = coords[0]
+        q = HistoryQuery(location=(lat, lon), heading=heading + 90.0, before=date(2025, 1, 1))
+        wide = MatchPolicy(heading_tol_deg=90.0)
+        with HistoryFixtureServer(root, policy=wide) as server:
+            assert isinstance(server.archive, LocalArchive) and server.archive.policy == wide
+            assert not {"root", "real_root", "entries", "policy"} & set(vars(server))
+            client = RemoteHistoryClient(server.url, policy=wide)
+            got = client.query(q)
+            client.close()
+        assert len(got) == 3 and answer(got) == answer(LocalArchive(root, wide).query(q))
+
+    def test_https_endpoint_is_verified(self, archive, monkeypatch):
+        # The server's socket speaks TLS with a self-signed certificate for
+        # 127.0.0.1, made by `openssl req -x509 -newkey rsa:2048 -nodes
+        # -days 36500 -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1`.
+        # The client trusts it only once SSL_CERT_FILE names it.
+        root, coords = archive
+        q = fresh_query(coords)
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_KEY)
+        server = HistoryFixtureServer(root)
+        server._httpd.socket = context.wrap_socket(server._httpd.socket, server_side=True)
+        url = server.url.replace("http://", "https://")
+        with server:
+            monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+            with pytest.raises(NetworkUnreachable, match="certificate verify failed"):
+                RemoteHistoryClient(url).query(q)
+            monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+            client = RemoteHistoryClient(url)
+            got = client.query(q)
+            client.close()
+        assert len(got) == 3 and answer(got) == answer(query_archive(root, q))
 
     def test_cache_keys_on_the_heading_sent(self, tmp_path):
         # Sign 1 stands on sign 0's pole facing 150 degrees: a 100-degree

@@ -69,6 +69,28 @@ def test_no_third_party_http_library(path):
     assert imported_roots(path.read_text()) & {"requests", "urllib3"} == set()
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscored names a `from .module import` statement takes from a
+    sibling module: a private name is its own module's business."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_detects_a_private_import():
+    src = "from __future__ import annotations\nfrom ._x import y\nfrom .history import HistoryQuery, _records\n"
+    assert private_imports(src) == ["line 3: _records"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
 def test_cli_errors_leave_through_main_only():
     """A command handles no exception itself (serve-fixture's ctrl-c stop
     aside): main() turns the typed input errors into one stderr line and
