@@ -506,7 +506,9 @@ def run_full_sweep(out_dir, stages: dict | None = None, max_images: int | None =
     Writes report.csv / report.json / report.txt plus both weight files
     under out_dir. The augment stream and the archive are seeded from
     synth.seed by fixed offsets, so the csv report is byte-identical
-    across runs.
+    across runs. Each test sign is queried at the exact location and
+    heading it was archived under, so the match.* keys can widen a sign's
+    history, to neighbouring poles or other headings, but never narrow it.
     """
     sweep_start = time.monotonic()
     os.makedirs(str(out_dir), exist_ok=True)

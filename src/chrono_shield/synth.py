@@ -6,14 +6,29 @@ backgrounds with nuisance jitter: position +-15% of the frame, scale
 is analytic (membership tests at pixel centers), so the same geometry also
 yields exact ground-truth region masks for the mask-fidelity probes.
 Everything is deterministic under the config seed.
+
+The renderer's rule: every rng draw, and every float operation that
+decides a pixel, runs with the operands and in the order of the reference
+renderer in tests/_oracles.py, and tests/test_synth.py pins the bytes
+against it. The one changed operation is the half-plane test, which
+compares its two products instead of the sign of their difference: the
+same answer for any finite pair. The saving comes from doing less work:
+each class's edge tables are worked out once, at import; pixel
+coordinates come from side-long vectors, since x and y enter separably;
+each layer is tested only in a window around it that holds all its
+pixels; and the tests and the paint run in place. There is no per-side
+grid cache: the side-long vectors cost less to build than a cached grid
+costs to combine, so a large synth.side pins no memory.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,41 +101,83 @@ _INRADIUS_FRAC = {
 }
 
 
-def _in_convex(px: np.ndarray, py: np.ndarray, verts: np.ndarray, scale: float = 1.0) -> np.ndarray:
+class _Region(NamedTuple):
+    """A membership test in canonical sign coordinates.
+
+    terms are the test's constants, worked out once; every point of the
+    region lies within reach of center.
+    """
+
+    kind: str
+    terms: tuple
+    center: tuple[float, float]
+    reach: float
+
+
+def _convex_region(verts: np.ndarray, scale: float = 1.0) -> _Region:
+    """Winding and each edge's (x1, y1, x2 - x1, y2 - y1) of verts * scale."""
     v = verts * scale
     n = len(v)
     # Winding sign so vertex order does not matter.
     area2 = 0.0
+    edges = []
     for i in range(n):
         x1, y1 = v[i]
         x2, y2 = v[(i + 1) % n]
         area2 += x1 * y2 - x2 * y1
-    sign = 1.0 if area2 >= 0 else -1.0
-    inside = np.ones(px.shape, dtype=bool)
-    for i in range(n):
-        x1, y1 = v[i]
-        x2, y2 = v[(i + 1) % n]
-        inside &= sign * ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)) >= 0
-    return inside
+        edges.append((x1, y1, x2 - x1, y2 - y1))
+    center = v.mean(axis=0)
+    reach = float(np.hypot(*(v - center).T).max())
+    return _Region("convex", (area2 >= 0, tuple(edges)), tuple(center), reach)
 
 
-def _in_shape(px: np.ndarray, py: np.ndarray, shape: str, scale: float = 1.0) -> np.ndarray:
+def _shape_region(shape: str, scale: float = 1.0) -> _Region:
     if shape == "circle":
-        return px * px + py * py <= scale * scale
-    return _in_convex(px, py, _SHAPES[shape], scale)
+        return _Region("circle", (scale * scale,), (0.0, 0.0), scale)
+    return _convex_region(_SHAPES[shape], scale)
 
 
-def _in_bar(px, py, cx, cy, angle_deg, halflen, halfwidth):
-    a = np.radians(angle_deg)
-    dx = px - cx
-    dy = py - cy
-    along = dx * np.cos(a) + dy * np.sin(a)
-    across = -dx * np.sin(a) + dy * np.cos(a)
-    return (np.abs(along) <= halflen) & (np.abs(across) <= halfwidth)
+def _inside(region: _Region, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Whether each point (px, py) lies in region.
 
-
-def _in_dot(px, py, cx, cy, r):
-    return (px - cx) ** 2 + (py - cy) ** 2 <= r * r
+    Each term is the reference's, computed in place on scratch planes.
+    """
+    a, b, c, d = np.empty((4, *px.shape))
+    out, hit = np.empty((2, *px.shape), dtype=bool)
+    if region.kind == "convex":
+        ccw, edges = region.terms
+        # The reference tests sign * (a - b) >= 0 with sign = +1 or -1. For
+        # finite a and b, a - b rounds to zero only when a == b and keeps
+        # the sign of the exact difference, so a >= b (or a <= b) is the
+        # same test without the subtraction.
+        test = np.greater_equal if ccw else np.less_equal
+        for i, (x1, y1, ex, ey) in enumerate(edges):
+            np.multiply(np.subtract(py, y1, out=a), ex, out=a)
+            np.multiply(np.subtract(px, x1, out=b), ey, out=b)
+            if i == 0:
+                test(a, b, out=out)
+            else:
+                out &= test(a, b, out=hit)
+    elif region.kind == "circle":
+        np.add(np.multiply(px, px, out=a), np.multiply(py, py, out=b), out=a)
+        np.less_equal(a, region.terms[0], out=out)
+    elif region.kind == "bar":
+        gx, gy, cos_a, sin_a, halflen, halfwidth = region.terms
+        dx = np.subtract(px, gx, out=a)
+        dy = np.subtract(py, gy, out=b)
+        along = np.add(np.multiply(dx, cos_a, out=c), np.multiply(dy, sin_a, out=d), out=c)
+        np.less_equal(np.abs(along, out=c), halflen, out=out)
+        # -dx * sin_a rounds to -(dx * sin_a), and x + -y is x - y.
+        across = np.subtract(np.multiply(dy, cos_a, out=c), np.multiply(dx, sin_a, out=d), out=c)
+        out &= np.less_equal(np.abs(across, out=c), halfwidth, out=hit)
+    elif region.kind == "dot":
+        gx, gy, r2 = region.terms
+        dx2 = np.square(np.subtract(px, gx, out=a), out=a)
+        dy2 = np.square(np.subtract(py, gy, out=b), out=b)
+        np.less_equal(np.add(dx2, dy2, out=a), r2, out=out)
+    else:
+        raise ValueError(f"unknown region kind {region.kind!r}")
+    return out
 
 
 # (shape, fill, ring color or None, ring inner scale, glyph list)
@@ -191,26 +248,106 @@ _ARCHETYPES: dict[str, tuple] = {
 }
 
 
+def _glyph_region(glyph: tuple) -> _Region:
+    kind = glyph[0]
+    if kind == "bar":
+        _, _, gx, gy, ang, hl, hw = glyph
+        a = np.radians(ang)
+        return _Region("bar", (gx, gy, np.cos(a), np.sin(a), hl, hw), (gx, gy), float(np.hypot(hl, hw)))
+    if kind == "dot":
+        _, _, gx, gy, r = glyph
+        return _Region("dot", (gx, gy, r * r), (gx, gy), r)
+    if kind == "mini":
+        _, _, mini_shape, mini_scale = glyph
+        return _shape_region(mini_shape, mini_scale)
+    if kind == "tri":
+        return _convex_region(np.asarray(glyph[2], dtype=np.float64))
+    raise ValueError(f"unknown glyph kind {kind!r}")
+
+
+# Per class: fill color, ring color or None, outer region, ring-inner
+# region or None, and (color, region) per glyph, worked out once from
+# _ARCHETYPES.
+_LAYERS = {
+    name: (
+        fill,
+        ring,
+        _shape_region(shape, 1.0),
+        None if ring is None else _shape_region(shape, ring_inner),
+        [(glyph[1], _glyph_region(glyph)) for glyph in glyphs],
+    )
+    for name, (shape, fill, ring, ring_inner, glyphs) in _ARCHETYPES.items()
+}
+
+
 def _jitter_color(color: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
     c = np.asarray(color, dtype=np.float64) + rng.uniform(-8, 8, size=3)
-    return np.clip(c, 0, 255)
+    return np.minimum(np.maximum(c, 0, out=c), 255, out=c)
+
+
+def _ramp(side: int, base: float, sx: float, sy: float) -> np.ndarray:
+    """base + sx * (x - side / 2) + sy * (y - side / 2) at each pixel (y, x)."""
+    r = np.arange(side, dtype=np.float64) - side / 2
+    return (base + sx * r) + (sy * r)[:, None]
+
+
+class _Placement:
+    """Where a sign sits in a side x side frame: pixel centers about
+    (cx, cy), divided by radius and rotated by theta, are its canonical
+    coordinates (px, py)."""
+
+    def __init__(self, side: int, cx: float, cy: float, radius: float, theta: float):
+        self.side, self.cx, self.cy, self.radius = side, cx, cy, radius
+        self.cos_t, self.sin_t = np.cos(theta), np.sin(theta)
+        centers = np.arange(side) + 0.5
+        dx = (centers - cx) / radius
+        dy = ((centers - cy) / radius)[:, None]
+        # x and y enter separably: px = cos * dx + sin * dy and
+        # py = -sin * dx + cos * dy need full planes only for the sums.
+        self._terms = (self.cos_t * dx, self.sin_t * dy, -self.sin_t * dx, self.cos_t * dy)
+
+    def window(self, region: _Region) -> tuple[slice, slice]:
+        """Rows and columns holding every pixel of region, and a margin.
+
+        A pixel left out lies at least reach + 1.5 / radius from the
+        region's center in sign coordinates, so its test reads False by a
+        margin no rounding closes.
+        """
+        gx, gy = region.center
+        half = self.radius * region.reach + 1.0
+        ox = self.cx + self.radius * (self.cos_t * gx - self.sin_t * gy)
+        oy = self.cy + self.radius * (self.sin_t * gx + self.cos_t * gy)
+        return (
+            slice(max(0, math.floor(oy - half)), min(self.side, math.ceil(oy + half))),
+            slice(max(0, math.floor(ox - half)), min(self.side, math.ceil(ox + half))),
+        )
+
+    def inside(self, region: _Region) -> tuple[tuple[slice, slice], np.ndarray]:
+        """(window, whether each pixel center in the window lies in region)."""
+        rows, cols = win = self.window(region)
+        cos_dx, sin_dy, neg_sin_dx, cos_dy = self._terms
+        return win, _inside(region, cos_dx[cols] + sin_dy[rows], neg_sin_dx[cols] + cos_dy[rows])
 
 
 def _background(side: int, rng: np.random.Generator) -> np.ndarray:
     base = rng.uniform(60, 110)
     sx = rng.uniform(-0.25, 0.25)
     sy = rng.uniform(-0.25, 0.25)
-    yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
-    plane = base + sx * (xx - side / 2) + sy * (yy - side / 2)
-    plane = plane[:, :, None] + rng.uniform(-6, 6, size=(side, side, 3))
+    plane = _ramp(side, base, sx, sy)
+    canvas = rng.uniform(-6, 6, size=(side, side, 3))
     tint = rng.uniform(-10, 10, size=3)
-    return np.clip(plane + tint, 0, 255)
+    # One channel at a time: numpy runs a stride-3 plane far faster than a
+    # broadcast over the size-3 axis.
+    for k in range(3):
+        channel = canvas[:, :, k]
+        channel += plane
+        channel += tint[k]
+    return np.clip(canvas, 0, 255, out=canvas)
 
 
 def render_sign(label: int, side: int, rng: np.random.Generator) -> RasterImage:
     """One randomized frame of the given class."""
-    name = CLASS_NAMES[label]
-    shape, fill, ring, ring_inner, glyphs = _ARCHETYPES[name]
+    fill, ring, outer, inner, glyph_regions = _LAYERS[CLASS_NAMES[label]]
 
     canvas = _background(side, rng)
 
@@ -222,42 +359,25 @@ def render_sign(label: int, side: int, rng: np.random.Generator) -> RasterImage:
     theta = np.radians(rng.uniform(-10.0, 10.0))
     brightness = rng.uniform(0.8, 1.2)
 
-    yy, xx = np.mgrid[0:side, 0:side]
-    # Pixel centers into canonical sign coordinates.
-    dx = (xx + 0.5 - cx) / radius
-    dy = (yy + 0.5 - cy) / radius
-    px = np.cos(theta) * dx + np.sin(theta) * dy
-    py = -np.sin(theta) * dx + np.cos(theta) * dy
-
-    outer = _in_shape(px, py, shape, 1.0)
+    # Layers in paint order, each over the ones before it. Ring everywhere
+    # in the outline, then fill over the inner shape, gives the pixels of
+    # ring on outline-minus-inner, then fill on inner.
     fill_color = _jitter_color(_COLORS[fill], rng)
-    if ring is not None:
-        inner = _in_shape(px, py, shape, ring_inner)
-        ring_color = _jitter_color(_COLORS[ring], rng)
-        canvas[outer & ~inner] = ring_color
-        canvas[inner] = fill_color
+    if ring is None:
+        layers = [(fill_color, outer)]
     else:
-        canvas[outer] = fill_color
+        layers = [(_jitter_color(_COLORS[ring], rng), outer), (fill_color, inner)]
+    layers += [(_jitter_color(_COLORS[color], rng), region) for color, region in glyph_regions]
 
-    for glyph in glyphs:
-        kind, color = glyph[0], glyph[1]
-        gcol = _jitter_color(_COLORS[color], rng)
-        if kind == "bar":
-            _, _, gx, gy, ang, hl, hw = glyph
-            sel = _in_bar(px, py, gx, gy, ang, hl, hw)
-        elif kind == "dot":
-            _, _, gx, gy, r = glyph
-            sel = _in_dot(px, py, gx, gy, r)
-        elif kind == "mini":
-            _, _, mini_shape, mini_scale = glyph
-            sel = _in_shape(px, py, mini_shape, mini_scale)
-        elif kind == "tri":
-            sel = _in_convex(px, py, np.asarray(glyph[2], dtype=np.float64))
-        else:
-            raise ValueError(f"unknown glyph kind {kind!r}")
-        canvas[sel] = gcol
+    placement = _Placement(side, cx, cy, radius, theta)
+    for color, region in layers:
+        win, sel = placement.inside(region)
+        patch = canvas[win]
+        for k in range(3):  # a stride-3 plane per channel: faster than a (h, w, 3) masked store
+            np.copyto(patch[:, :, k], color[k], where=sel)
 
-    out = np.clip(np.rint(canvas * brightness), 0, 255).astype(np.uint8)
+    np.multiply(canvas, brightness, out=canvas)
+    out = np.clip(np.rint(canvas, out=canvas), 0, 255, out=canvas).astype(np.uint8)
     return RasterImage(out)
 
 
@@ -354,8 +474,8 @@ def render_shape_probe(
     base = rng.uniform(40, 90)
     sx = rng.uniform(-0.2, 0.2)
     sy = rng.uniform(-0.2, 0.2)
-    yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
-    bg = base + sx * (xx - side / 2) + sy * (yy - side / 2) + rng.uniform(-5, 5, size=(side, side))
+    bg = _ramp(side, base, sx, sy)
+    bg += rng.uniform(-5, 5, size=(side, side))
     bg_max = float(bg.max())
     fill = rng.uniform(min(bg_max + 80.0, 245.0), 250.0)
 
@@ -363,13 +483,11 @@ def render_shape_probe(
     cx = side / 2.0 + rng.uniform(-slack, slack)
     cy = side / 2.0 + rng.uniform(-slack, slack)
     theta = np.radians(rng.uniform(-10.0, 10.0))
-    dx = (xx + 0.5 - cx) / circum
-    dy = (yy + 0.5 - cy) / circum
-    px = np.cos(theta) * dx + np.sin(theta) * dy
-    py = -np.sin(theta) * dx + np.cos(theta) * dy
-    truth = _in_shape(px, py, shape, 1.0)
+    win, sel = _Placement(side, cx, cy, circum, theta).inside(_shape_region(shape))
+    truth = np.zeros((side, side), dtype=bool)
+    truth[win] = sel
 
     canvas = np.repeat(bg[:, :, None], 3, axis=2)
     canvas[truth] = fill
-    img = RasterImage(np.clip(np.rint(canvas), 0, 255).astype(np.uint8))
+    img = RasterImage(np.clip(np.rint(canvas, out=canvas), 0, 255, out=canvas).astype(np.uint8))
     return img, truth

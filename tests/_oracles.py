@@ -13,6 +13,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from chrono_shield.cnn import Prediction
+from chrono_shield.raster import RasterImage
+from chrono_shield.synth import _ARCHETYPES, _COLORS, _INRADIUS_FRAC, _SHAPES, CLASS_NAMES, PROBE_SHAPES
 
 
 def dense_gaussian_blur(plane: np.ndarray, sigma: float, radius: int) -> np.ndarray:
@@ -278,3 +280,154 @@ def first_max_pool2x2(x: np.ndarray, dout: np.ndarray):
                     out[ni, ci, oy, ox] = x[ni, ci, best[0], best[1]]
                     dx[ni, ci, best[0], best[1]] = dout[ni, ci, oy, ox]
     return out, dx
+
+
+# ---------------------------------------------------------------------------
+# The sign renderer as first written, one full plane per term. The package's
+# renderer must give the same bytes for every seed and side.
+
+
+def _in_convex(px: np.ndarray, py: np.ndarray, verts: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    v = verts * scale
+    n = len(v)
+    # Winding sign so vertex order does not matter.
+    area2 = 0.0
+    for i in range(n):
+        x1, y1 = v[i]
+        x2, y2 = v[(i + 1) % n]
+        area2 += x1 * y2 - x2 * y1
+    sign = 1.0 if area2 >= 0 else -1.0
+    inside = np.ones(px.shape, dtype=bool)
+    for i in range(n):
+        x1, y1 = v[i]
+        x2, y2 = v[(i + 1) % n]
+        inside &= sign * ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)) >= 0
+    return inside
+
+
+def _in_shape(px: np.ndarray, py: np.ndarray, shape: str, scale: float = 1.0) -> np.ndarray:
+    if shape == "circle":
+        return px * px + py * py <= scale * scale
+    return _in_convex(px, py, _SHAPES[shape], scale)
+
+
+def _in_bar(px, py, cx, cy, angle_deg, halflen, halfwidth):
+    a = np.radians(angle_deg)
+    dx = px - cx
+    dy = py - cy
+    along = dx * np.cos(a) + dy * np.sin(a)
+    across = -dx * np.sin(a) + dy * np.cos(a)
+    return (np.abs(along) <= halflen) & (np.abs(across) <= halfwidth)
+
+
+def _in_dot(px, py, cx, cy, r):
+    return (px - cx) ** 2 + (py - cy) ** 2 <= r * r
+
+
+def _jitter_color(color: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    c = np.asarray(color, dtype=np.float64) + rng.uniform(-8, 8, size=3)
+    return np.clip(c, 0, 255)
+
+
+def _background(side: int, rng: np.random.Generator) -> np.ndarray:
+    base = rng.uniform(60, 110)
+    sx = rng.uniform(-0.25, 0.25)
+    sy = rng.uniform(-0.25, 0.25)
+    yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
+    plane = base + sx * (xx - side / 2) + sy * (yy - side / 2)
+    plane = plane[:, :, None] + rng.uniform(-6, 6, size=(side, side, 3))
+    tint = rng.uniform(-10, 10, size=3)
+    return np.clip(plane + tint, 0, 255)
+
+
+def reference_render_sign(label: int, side: int, rng: np.random.Generator) -> RasterImage:
+    """One randomized frame of the given class: synth.render_sign as first
+    written, a fresh array for every term and a boolean-mask store per layer."""
+    name = CLASS_NAMES[label]
+    shape, fill, ring, ring_inner, glyphs = _ARCHETYPES[name]
+
+    canvas = _background(side, rng)
+
+    # Nuisance parameters.
+    scale_frac = rng.uniform(0.6, 0.9)
+    radius = scale_frac * side / 2.0
+    cx = side / 2.0 + rng.uniform(-0.15, 0.15) * side
+    cy = side / 2.0 + rng.uniform(-0.15, 0.15) * side
+    theta = np.radians(rng.uniform(-10.0, 10.0))
+    brightness = rng.uniform(0.8, 1.2)
+
+    yy, xx = np.mgrid[0:side, 0:side]
+    # Pixel centers into canonical sign coordinates.
+    dx = (xx + 0.5 - cx) / radius
+    dy = (yy + 0.5 - cy) / radius
+    px = np.cos(theta) * dx + np.sin(theta) * dy
+    py = -np.sin(theta) * dx + np.cos(theta) * dy
+
+    outer = _in_shape(px, py, shape, 1.0)
+    fill_color = _jitter_color(_COLORS[fill], rng)
+    if ring is not None:
+        inner = _in_shape(px, py, shape, ring_inner)
+        ring_color = _jitter_color(_COLORS[ring], rng)
+        canvas[outer & ~inner] = ring_color
+        canvas[inner] = fill_color
+    else:
+        canvas[outer] = fill_color
+
+    for glyph in glyphs:
+        kind, color = glyph[0], glyph[1]
+        gcol = _jitter_color(_COLORS[color], rng)
+        if kind == "bar":
+            _, _, gx, gy, ang, hl, hw = glyph
+            sel = _in_bar(px, py, gx, gy, ang, hl, hw)
+        elif kind == "dot":
+            _, _, gx, gy, r = glyph
+            sel = _in_dot(px, py, gx, gy, r)
+        elif kind == "mini":
+            _, _, mini_shape, mini_scale = glyph
+            sel = _in_shape(px, py, mini_shape, mini_scale)
+        elif kind == "tri":
+            sel = _in_convex(px, py, np.asarray(glyph[2], dtype=np.float64))
+        else:
+            raise ValueError(f"unknown glyph kind {kind!r}")
+        canvas[sel] = gcol
+
+    out = np.clip(np.rint(canvas * brightness), 0, 255).astype(np.uint8)
+    return RasterImage(out)
+
+
+def reference_shape_probe(
+    shape: str,
+    rng: np.random.Generator,
+    min_inradius: float = 24.0,
+    max_inradius: float = 40.0,
+) -> tuple[RasterImage, np.ndarray]:
+    """synth.render_shape_probe as first written: (image, ground-truth bits)."""
+    if shape not in PROBE_SHAPES:
+        raise ValueError(f"unknown probe shape {shape!r}")
+    inradius = rng.uniform(min_inradius, max_inradius)
+    circum = inradius / _INRADIUS_FRAC[shape]
+    side = int(np.ceil(rng.uniform(2.6, 3.4) * circum))
+    side = max(side, int(2 * circum) + 16)
+
+    base = rng.uniform(40, 90)
+    sx = rng.uniform(-0.2, 0.2)
+    sy = rng.uniform(-0.2, 0.2)
+    yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
+    bg = base + sx * (xx - side / 2) + sy * (yy - side / 2) + rng.uniform(-5, 5, size=(side, side))
+    bg_max = float(bg.max())
+    fill = rng.uniform(min(bg_max + 80.0, 245.0), 250.0)
+
+    slack = side / 2.0 - circum - 4.0
+    cx = side / 2.0 + rng.uniform(-slack, slack)
+    cy = side / 2.0 + rng.uniform(-slack, slack)
+    theta = np.radians(rng.uniform(-10.0, 10.0))
+    dx = (xx + 0.5 - cx) / circum
+    dy = (yy + 0.5 - cy) / circum
+    px = np.cos(theta) * dx + np.sin(theta) * dy
+    py = -np.sin(theta) * dx + np.cos(theta) * dy
+    truth = _in_shape(px, py, shape, 1.0)
+
+    canvas = np.repeat(bg[:, :, None], 3, axis=2)
+    canvas[truth] = fill
+    img = RasterImage(np.clip(np.rint(canvas), 0, 255).astype(np.uint8))
+    return img, truth

@@ -3,6 +3,7 @@ import os
 import struct
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("default")
+
+TESTS = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """A test under tests/ that leaves a socket or file for the garbage
+    collector fails: the ResourceWarning its finalizer raises becomes an
+    error, which pytest reports as an unraisable exception, also an error."""
+    for item in items:
+        if TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
 
 
 @pytest.fixture

@@ -12,8 +12,13 @@ Run order matters only for readability; every test stands alone.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from datetime import date
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +27,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chrono_shield
 from chrono_shield.attack import AttackConfig, PsoConfig, ShadowSpec, apply_shadow, pso_minimize
 from chrono_shield.cli import main as cli_main
 from chrono_shield.cnn import TrainConfig, grad_check, load_weights
@@ -327,6 +333,7 @@ def test_acceptance_10_fixture_round_trip(tmp_path):
             HistoryQuery(location=(lat0, lon0), heading=h0, before=date(2016, 10, 12))
         ):
             problems.append("date bound ignored (before filter)")
+        client.close()
 
         stats_warm = requests.get(server.url + "/stats", timeout=5).json()
         fresh = RemoteHistoryClient(server.url, cache_dir=cache)
@@ -338,6 +345,7 @@ def test_acceptance_10_fixture_round_trip(tmp_path):
             for a, b in zip(first[i], records):
                 if not np.array_equal(a.image.pixels, b.image.pixels):
                     problems.append(f"sign {i}: warm cache returned different pixels")
+        fresh.close()
         stats_after = requests.get(server.url + "/stats", timeout=5).json()
         if stats_after["hits"] != stats_warm["hits"]:
             problems.append(f"server hits grew {stats_warm['hits']} -> {stats_after['hits']}")
@@ -399,3 +407,58 @@ def test_sweep_bytes_match_across_worker_counts(tmp_path, cpus):
         outputs.append([(out / name).read_bytes() for name in ("report.csv", "weights.csw", "baseline.csw")])
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0][0]).hexdigest() == SMALL_SWEEP_CSV_SHA256
+
+
+# Runs the two small sweeps of the test above in a fresh process, where
+# OPENBLAS_CORETYPE takes effect, and prints the kernel that ran them and
+# the digests of each sweep's report.csv, weights.csw and baseline.csw.
+_SWEEPS_IN_A_PROCESS = """
+import ctypes, hashlib, json, os, sys
+from pathlib import Path
+import numpy as np
+from chrono_shield.cli import main
+
+cfg, root = sys.argv[1], Path(sys.argv[2])
+kernel = None
+for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*.so*")):
+    corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+digests = []
+for n in (1, 2):
+    os.sched_getaffinity = lambda pid, n=n: set(range(n))
+    out = root / str(n)
+    assert main(["--seed", "7", "--config", cfg, "--out", str(out), "sweep", "--max-images", "4"]) == 0
+    digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("report.csv", "weights.csw", "baseline.csw")])
+print(json.dumps({"kernel": kernel, "digests": digests}))
+"""
+
+
+def _has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return any(line.startswith("flags") and "avx2" in line.split() for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
+def test_sweep_bytes_match_across_worker_counts_on_the_haswell_kernel(tmp_path):
+    # The trained weights follow the BLAS kernel; report.csv and its
+    # independence from the worker count must not.
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SWEEP_CFG)
+    src = str(Path(chrono_shield.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEPS_IN_A_PROCESS, str(cfg), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result["kernel"] != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell ran the {result['kernel']} kernel")
+    one, two = result["digests"]
+    assert one == two
+    assert one[0] == SMALL_SWEEP_CSV_SHA256

@@ -56,6 +56,12 @@ def answer(records):
     return [(r.capture_date, r.location, r.heading, r.image.pixels.tobytes()) for r in records]
 
 
+def query_once(url, query, **kwargs):
+    """(records, client) of one query on a fresh client, closed after it."""
+    with contextlib.closing(RemoteHistoryClient(url, **kwargs)) as client:
+        return client.query(query), client
+
+
 @contextlib.contextmanager
 def raw_server(routes, redirects=None):
     """A bare HTTP/1.0 server answering GET path -> routes[path](base_url)
@@ -249,7 +255,7 @@ class TestManifest:
         row["image_url"] = row.pop("path")
         with raw_server({"/history": lambda base: [json.dumps([row]).encode()]}) as url:
             with pytest.raises(ProtocolError):
-                RemoteHistoryClient(url).query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+                query_once(url, HistoryQuery(location=(40.0, -74.0), heading=90.0))
 
     def test_edited_manifest_is_read_again(self, tmp_path):
         # Only the parse of the text last read is kept: rewriting the file
@@ -426,7 +432,7 @@ class TestQueryArchive:
         query = fresh_query(coords, max_records=len(paths))
         local = query_archive(str(root), query)
         with HistoryFixtureServer(root) as server:
-            remote = RemoteHistoryClient(server.url).query(query)
+            remote, _ = query_once(server.url, query)
         assert answer(local) == answer(remote)
         assert [r.image.pixels[0, 0, 0] for r in local] == [200]
 
@@ -501,8 +507,7 @@ class TestFixtureServer:
     def test_remote_matches_archive(self, archive, tmp_path):
         root, coords = archive
         with HistoryFixtureServer(root) as server:
-            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
-            got = client.query(fresh_query(coords))
+            got, _ = query_once(server.url, fresh_query(coords), cache_dir=tmp_path / "cache")
             want = query_archive(root, fresh_query(coords))
             assert len(got) == len(want) == 3
             for g, w in zip(got, want):
@@ -516,13 +521,12 @@ class TestFixtureServer:
         root, coords = archive
         cache = tmp_path / "cache"
         with HistoryFixtureServer(root) as server:
-            first = RemoteHistoryClient(server.url, cache_dir=cache).query(fresh_query(coords))
+            first, _ = query_once(server.url, fresh_query(coords), cache_dir=cache)
             stats_after_first = requests.get(server.url + "/stats", timeout=5).json()
             assert stats_after_first["history"] >= 1
             assert stats_after_first["image"] >= 3
 
-            second_client = RemoteHistoryClient(server.url, cache_dir=cache)
-            second = second_client.query(fresh_query(coords))
+            second, second_client = query_once(server.url, fresh_query(coords), cache_dir=cache)
             assert second_client.last_network_requests == 0
             stats_after_second = requests.get(server.url + "/stats", timeout=5).json()
             # /stats requests are not counted; the warm query added nothing.
@@ -544,12 +548,11 @@ class TestFixtureServer:
         root, coords = archive
         cache = tmp_path / "cache"
         with HistoryFixtureServer(root) as server:
-            RemoteHistoryClient(server.url, cache_dir=cache).query(fresh_query(coords))
+            query_once(server.url, fresh_query(coords), cache_dir=cache)
             entry = sorted((cache / kind).iterdir())[0]
             good = entry.read_bytes()
             entry.write_bytes(garble(good))
-            client = RemoteHistoryClient(server.url, cache_dir=cache)
-            got = client.query(fresh_query(coords))
+            got, client = query_once(server.url, fresh_query(coords), cache_dir=cache)
         assert client.last_network_requests == 1  # only the corrupt entry is fetched again
         assert entry.read_bytes() == good
         want = query_archive(root, fresh_query(coords))
@@ -564,9 +567,8 @@ class TestFixtureServer:
         cache = tmp_path / "cache500"
         with HistoryFixtureServer(root) as server:
             server.force_history_status = 500
-            client = RemoteHistoryClient(server.url, cache_dir=cache)
             with pytest.raises(NetworkUnreachable):
-                client.query(fresh_query(coords))
+                query_once(server.url, fresh_query(coords), cache_dir=cache)
         qdir = cache / "queries"
         assert not qdir.exists() or list(qdir.iterdir()) == []
 
@@ -574,21 +576,17 @@ class TestFixtureServer:
         root, coords = archive
         with HistoryFixtureServer(root) as server:
             server.force_history_status = 404
-            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "c404")
             with pytest.raises(ProtocolError):
-                client.query(fresh_query(coords))
+                query_once(server.url, fresh_query(coords), cache_dir=tmp_path / "c404")
 
     def test_missing_image_skipped_and_counted(self, archive, tmp_path):
         root, coords = archive
         clone = tmp_path / "clone"
-        clone.mkdir()
-        for name in os.listdir(root):
-            (clone / name).write_bytes(open(os.path.join(root, name), "rb").read())
+        shutil.copytree(root, clone)
         victim = [n for n in os.listdir(str(clone)) if n.startswith("sign0000_2019")][0]
         os.remove(clone / victim)
         with HistoryFixtureServer(str(clone)) as server:
-            client = RemoteHistoryClient(server.url)  # no cache
-            records = client.query(fresh_query(coords))
+            records, client = query_once(server.url, fresh_query(coords))  # no cache
         assert len(records) == 2
         assert client.last_failures == 1
 
@@ -622,7 +620,7 @@ class TestFixtureServer:
         query = HistoryQuery(location=(40.0, -74.0), heading=90.0)
         with HistoryFixtureServer(tmp_path) as server:
             body = requests.get(f"{server.url}/image/frame{ext}", timeout=5).content
-            records = RemoteHistoryClient(server.url).query(query)
+            records, _ = query_once(server.url, query)
         assert sniff_format(body) == "png" and decode_image(body, "png") == img
         assert answer(records) == answer(query_archive(str(tmp_path), query))
 
@@ -638,8 +636,7 @@ class TestFixtureServer:
         victim.write_bytes(bytes(data))
         with HistoryFixtureServer(str(clone)) as server:
             assert requests.get(f"{server.url}/image/{victim.name}", timeout=5).content == bytes(data)
-            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
-            records = client.query(fresh_query(coords))
+            records, client = query_once(server.url, fresh_query(coords), cache_dir=tmp_path / "cache")
         assert answer(records) == answer(query_archive(str(clone), fresh_query(coords)))
         assert len(records) == 2 and client.last_failures == 1
         assert len(list((tmp_path / "cache" / "images").iterdir())) == 2  # the bad body is not cached
@@ -688,13 +685,13 @@ class TestFixtureServer:
     def test_stop_closes_pooled_connections(self, archive):
         root, coords = archive
         server = HistoryFixtureServer(root).start()
-        try:
-            client = RemoteHistoryClient(server.url, timeout=2)
-            assert len(client.query(fresh_query(coords))) == 3  # leaves a pooled connection
-        finally:
-            server.stop()
-        with pytest.raises(NetworkUnreachable):
-            client.query(fresh_query(coords))
+        with contextlib.closing(RemoteHistoryClient(server.url, timeout=2)) as client:
+            try:
+                assert len(client.query(fresh_query(coords))) == 3  # leaves a pooled connection
+            finally:
+                server.stop()
+            with pytest.raises(NetworkUnreachable):
+                client.query(fresh_query(coords))
 
     def test_history_without_heading_or_max_is_the_whole_neighbourhood(self, archive):
         root, coords = archive
@@ -727,8 +724,7 @@ class TestFixtureServer:
 
         routes = {"/history": oversized} if route == "history" else {"/history": one_row, "/image/a.png": oversized}
         cache = tmp_path / "cache"
-        with raw_server(routes) as url:
-            client = RemoteHistoryClient(url, cache_dir=cache)
+        with raw_server(routes) as url, contextlib.closing(RemoteHistoryClient(url, cache_dir=cache)) as client:
             tracemalloc.start()
             try:
                 with pytest.raises(ProtocolError):
@@ -757,7 +753,7 @@ class TestFixtureServer:
         with raw_server({"/history": lambda base: [b"this is not json"]}) as url:
             q = HistoryQuery(location=(40.0, -74.0), heading=90.0)
             with pytest.raises(ProtocolError):
-                RemoteHistoryClient(url).query(q)
+                query_once(url, q)
 
     def test_connection_refused_is_network_unreachable(self):
         q = HistoryQuery(location=(40.0, -74.0), heading=90.0)
@@ -778,8 +774,7 @@ class TestFixtureServer:
         # queries; the second query's first GET finds it closed and goes
         # out again on a fresh connection, counted once.
         root, coords = archive
-        with HistoryFixtureServer(root) as server:
-            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
+        with HistoryFixtureServer(root) as server, contextlib.closing(RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")) as client:
             connects = count_connects(client)
             assert len(client.query(fresh_query(coords, 0))) == 3
             assert client.session.sock is not None and len(connects) == 1
@@ -813,8 +808,7 @@ class TestFixtureServer:
         (root / "manifest.json").write_text(json.dumps(rows))
         q = fresh_query(coords)
         with HistoryFixtureServer(root) as server:
-            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
-            got = client.query(q)
+            got, client = query_once(server.url, q, cache_dir=tmp_path / "cache")
         assert len(got) == 3 and client.last_failures == 0
         assert answer(got) == answer(query_archive(str(root), q))
 
@@ -838,8 +832,7 @@ class TestFixtureServer:
         with HistoryFixtureServer(foreign_root) as foreign:
             away = {"/image/a.png": lambda base: foreign.url + "/image/a.png"}
             with raw_server({"/history": lambda base: rows}, redirects=away) as url:
-                client = RemoteHistoryClient(url, cache_dir=tmp_path / "cache")
-                records = client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+                records, client = query_once(url, HistoryQuery(location=(40.0, -74.0), heading=90.0), cache_dir=tmp_path / "cache")
             assert records == [] and client.last_failures == 1
             assert foreign.stats()["hits"] == 0
         assert not (tmp_path / "cache" / "images").exists()
@@ -849,9 +842,8 @@ class TestFixtureServer:
         with HistoryFixtureServer(root) as foreign:
             away = {"/history": lambda base: foreign.url + "/history"}
             with raw_server({}, redirects=away) as url:
-                client = RemoteHistoryClient(url, cache_dir=tmp_path / "cache")
                 with pytest.raises(ProtocolError, match="302"):
-                    client.query(fresh_query(coords))
+                    query_once(url, fresh_query(coords), cache_dir=tmp_path / "cache")
             assert foreign.stats()["hits"] == 0
         assert not (tmp_path / "cache" / "queries").exists()
 
@@ -859,13 +851,12 @@ class TestFixtureServer:
         root, coords = archive
         cache = tmp_path / "cache"
         with HistoryFixtureServer(root) as first:
-            cold = RemoteHistoryClient(first.url, cache_dir=cache)
-            want = answer(cold.query(fresh_query(coords)))
+            want = answer(query_once(first.url, fresh_query(coords), cache_dir=cache)[0])
             old_url = first.url
         with HistoryFixtureServer(root) as second:
             assert second.url != old_url
-            warm = RemoteHistoryClient(second.url, cache_dir=cache)
-            assert answer(warm.query(fresh_query(coords))) == want
+            got, warm = query_once(second.url, fresh_query(coords), cache_dir=cache)
+            assert answer(got) == want
             assert warm.last_network_requests == 0 and second.stats()["hits"] == 0
         (entry,) = (cache / "queries").iterdir()
         assert all(row["image_url"].startswith("image/sign") for row in json.loads(entry.read_text()))
@@ -889,7 +880,7 @@ class TestFixtureServer:
 
         with raw_server({"/api/history": rows}) as url:
             client = RemoteHistoryClient(url + "/api", cache_dir=tmp_path / "cache")
-            with pytest.raises(ProtocolError, match="does not resolve under"):
+            with contextlib.closing(client), pytest.raises(ProtocolError, match="does not resolve under"):
                 client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
         assert client.last_network_requests == 1
         assert not (tmp_path / "cache" / "queries").exists()
@@ -903,8 +894,7 @@ class TestFixtureServer:
             return [json.dumps([{**GOOD_ROW, "image_url": image_url.format(base=base)}]).encode()]
 
         with raw_server({"/api/history": rows, "/api/image/a.png": lambda base: [png.read_bytes()]}) as url:
-            client = RemoteHistoryClient(url + "/api", cache_dir=tmp_path / "cache")
-            records = client.query(HistoryQuery(location=(40.0, -74.0), heading=90.0))
+            records, _ = query_once(url + "/api", HistoryQuery(location=(40.0, -74.0), heading=90.0), cache_dir=tmp_path / "cache")
         assert [r.image for r in records] == [load_image(png)]
         (entry,) = (tmp_path / "cache" / "queries").iterdir()
         assert json.loads(entry.read_text())[0]["image_url"] == "image/a.png"
@@ -929,9 +919,7 @@ class TestFixtureServer:
         with HistoryFixtureServer(root, policy=wide) as server:
             assert isinstance(server.archive, LocalArchive) and server.archive.policy == wide
             assert not {"root", "real_root", "entries", "policy"} & set(vars(server))
-            client = RemoteHistoryClient(server.url, policy=wide)
-            got = client.query(q)
-            client.close()
+            got, _ = query_once(server.url, q, policy=wide)
         assert len(got) == 3 and answer(got) == answer(LocalArchive(root, wide).query(q))
 
     def test_https_endpoint_is_verified(self, archive, monkeypatch):
@@ -949,11 +937,9 @@ class TestFixtureServer:
         with server:
             monkeypatch.delenv("SSL_CERT_FILE", raising=False)
             with pytest.raises(NetworkUnreachable, match="certificate verify failed"):
-                RemoteHistoryClient(url).query(q)
+                query_once(url, q)
             monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
-            client = RemoteHistoryClient(url)
-            got = client.query(q)
-            client.close()
+            got, _ = query_once(url, q)
         assert len(got) == 3 and answer(got) == answer(query_archive(root, q))
 
     def test_cache_keys_on_the_heading_sent(self, tmp_path):
@@ -971,8 +957,7 @@ class TestFixtureServer:
                 row.update(lat=lat, lon=lon, heading=150.0)
         (root / "manifest.json").write_text(json.dumps(rows))
 
-        with HistoryFixtureServer(root) as server:
-            client = RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")
+        with HistoryFixtureServer(root) as server, contextlib.closing(RemoteHistoryClient(server.url, cache_dir=tmp_path / "cache")) as client:
             for heading in (100.0, 120.0):
                 q = HistoryQuery(location=(lat, lon), heading=heading, before=date(2025, 1, 1))
                 assert answer(client.query(q)) == answer(query_archive(str(root), q))
@@ -1005,12 +990,12 @@ class TestFixtureServer:
                 return client.last_network_requests
 
             with HistoryFixtureServer(root) as server:
-                cold = RemoteHistoryClient(server.url, cache_dir=cache)
-                assert sum(ask(cold, heading, 9) for heading in poles) == 1 + len(rows)
+                with contextlib.closing(RemoteHistoryClient(server.url, cache_dir=cache)) as cold:
+                    assert sum(ask(cold, heading, 9) for heading in poles) == 1 + len(rows)
                 after_cold = server.stats()
                 assert after_cold == {"hits": 1 + len(rows), "history": 1, "image": len(rows)}
-                again = RemoteHistoryClient(server.url, cache_dir=cache)
-                assert [ask(again, heading, cap) for heading, cap in warm] == [0] * len(warm)
+                with contextlib.closing(RemoteHistoryClient(server.url, cache_dir=cache)) as again:
+                    assert [ask(again, heading, cap) for heading, cap in warm] == [0] * len(warm)
                 assert server.stats() == after_cold
 
         check()
