@@ -14,12 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnn import Prediction
+from .configfile import InvalidConfig
 from .masks import BinaryMask
 from .raster import RasterImage
-
-
-class InvalidConfig(ValueError):
-    pass
 
 
 class DegenerateMask(ValueError):
@@ -53,6 +50,10 @@ class PsoConfig:
     social: float = 1.49
     seed: int = 0
 
+    def __post_init__(self):
+        if self.swarm < 1 or self.iterations < 1:
+            raise InvalidConfig(f"swarm and iterations must be positive, got {self.swarm}, {self.iterations}")
+
 
 @dataclass(frozen=True)
 class AttackConfig(PsoConfig):
@@ -62,6 +63,15 @@ class AttackConfig(PsoConfig):
     darkening: float = 0.43
     fitness: str = "true_prob"  # or "margin"
     early_stop: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.fitness not in ("true_prob", "margin"):
+            raise InvalidConfig(f"unknown fitness {self.fitness!r}")
+        if self.vertices < 3:
+            raise InvalidConfig(f"polygon needs >= 3 vertices, got {self.vertices}")
+        if not 0.0 < self.darkening <= 1.0:
+            raise InvalidConfig(f"darkening must be in (0, 1], got {self.darkening}")
 
 
 @dataclass(frozen=True)
@@ -158,10 +168,8 @@ def pso_minimize(
     of the best fitness, which is non-increasing). should_stop() is polled
     after every evaluation round for early exit.
     """
-    if config.swarm < 1 or config.iterations < 1 or dim < 1:
-        raise InvalidConfig(
-            f"swarm, iterations and dim must be positive, got {config.swarm}, {config.iterations}, {dim}"
-        )
+    if dim < 1:
+        raise InvalidConfig(f"dim must be positive, got {dim}")
     rng = np.random.default_rng(config.seed)
 
     def evaluate(x):
@@ -221,13 +229,7 @@ def run_attack(
         raise DegenerateMask("mask and image dimensions differ")
     if not mask.bits.any():
         raise DegenerateMask("mask has no true bits")
-    if config.fitness not in ("true_prob", "margin"):
-        raise InvalidConfig(f"unknown fitness {config.fitness!r}")
     k = config.vertices
-    if k < 3:
-        raise InvalidConfig(f"polygon needs >= 3 vertices, got {k}")
-    if not 0.0 < config.darkening <= 1.0:
-        raise InvalidConfig(f"darkening must be in (0, 1], got {config.darkening}")
     original = victim([img])[0]
 
     best_flip: dict | None = None

@@ -19,7 +19,7 @@ import os
 import sys
 from datetime import date
 
-from .attack import DegenerateMask, InvalidConfig, run_attack
+from .attack import DegenerateMask, InvalidConfig
 from .cnn import (
     Classifier,
     EmptyDataset,
@@ -35,7 +35,7 @@ from .configfile import BadConfigLine, UnknownConfigKey, apply_overrides, check_
 from .dataset import DatasetMalformed, DatasetMissing, load_dataset, save_dataset
 from .defense import class_name, defend, format_verdict
 from .fixture_server import HistoryFixtureServer
-from .harness import STAGES, emit_report, fit_input_side, run_full_sweep
+from .harness import STAGES, attack_image, emit_report, fit_input_side, run_full_sweep
 from .history import (
     HistoryQuery,
     ManifestMalformed,
@@ -45,7 +45,7 @@ from .history import (
     RemoteHistoryClient,
     query_archive,
 )
-from .masks import BinaryMask, InvalidThresholds, MaskParams, NoContourFound, generate_mask
+from .masks import BinaryMask, InvalidThresholds, NoContourFound, generate_mask
 from .raster import InvalidRadius, InvalidSigma
 from .synth import CLASS_NAMES, synth_dataset
 
@@ -165,18 +165,6 @@ def _load_weights_file(path):
         raise BadInput(f"cannot load model {path}: {exc}") from exc
 
 
-def _attack_mask(path, img, params: MaskParams) -> tuple[BinaryMask, str]:
-    """The mask file at path, else img's mask generated with params, else
-    the full frame, with a note for the report line when it is the full
-    frame."""
-    if path:
-        return BinaryMask.from_image(_read_image(path)), ""
-    try:
-        return generate_mask(img, params), ""
-    except NoContourFound:
-        return BinaryMask.full(img.width, img.height), " (full-frame mask: no contour found)"
-
-
 def _history_query(args, max_records: int) -> HistoryQuery:
     try:
         return HistoryQuery(
@@ -235,8 +223,8 @@ def _cmd_attack(args) -> int:
     weights = _load_weights_file(args.model)
     img = _read_image(args.image)
     label = _parse_label(args.label)
-    mask, note = _attack_mask(args.mask, img, cfg["mask"])
-    result = run_attack(img, mask, Classifier(weights), label, cfg["attack"])
+    mask = BinaryMask.from_image(_read_image(args.mask)) if args.mask else None
+    result, note = attack_image(img, label, Classifier(weights), cfg["attack"], cfg["mask"], mask)
     path = _out_file(args.out, "adversarial.png")
     save_image(result.adversarial_image, path)
     before = result.original_prediction
@@ -245,7 +233,7 @@ def _cmd_attack(args) -> int:
         f"{class_name(before.label, CLASS_NAMES)} ({before.confidence * 100:.2f}%) -> "
         f"{class_name(after.label, CLASS_NAMES)} ({after.confidence * 100:.2f}%) "
         f"[{'flipped' if result.success else 'held'} after {result.iterations_used} "
-        f"iterations]{note}"
+        f"iterations]{f' ({note})' if note else ''}"
     )
     print(f"adversarial image -> {path}")
     return 0

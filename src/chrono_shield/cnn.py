@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configfile import InvalidConfig
 from .dataset import LabeledImageSet
 from .parallel import map_in_order, one_blas_thread, worker_count
 from .raster import RasterImage, resize_bilinear
@@ -50,6 +51,10 @@ class ModelConfig:
     channels: tuple[int, int, int] = (16, 32, 64)
     num_classes: int = 16
 
+    def __post_init__(self):
+        if len(self.channels) != 3 or min(self.channels) < 1:
+            raise InvalidConfig(f"channels must be three positive counts, got {self.channels}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -58,6 +63,10 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,17 +112,13 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 def _encode_png(img: RasterImage) -> bytes:
     color_type = 0 if img.channels == 1 else 2
     ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, color_type, 0, 0, 0)
-    # Filter type 0 on every scanline.
-    raw = img.pixels.tobytes()
-    stride = img.width * img.channels
-    lines = bytearray()
-    for y in range(img.height):
-        lines.append(0)
-        lines += raw[y * stride : (y + 1) * stride]
+    # Filter type 0 on every scanline: a zero byte, then the row's samples.
+    lines = np.zeros((img.height, 1 + img.width * img.channels), dtype=np.uint8)
+    lines[:, 1:] = img.pixels.reshape(img.height, -1)
     return (
         PNG_SIGNATURE
         + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(bytes(lines)))
+        + _png_chunk(b"IDAT", zlib.compress(lines))
         + _png_chunk(b"IEND", b"")
     )
 

@@ -9,11 +9,16 @@ values coerced to the annotated field types.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 
 class BadConfigLine(ValueError):
     pass
+
+
+class InvalidConfig(ValueError):
+    """A stage config value outside what its stage can run with."""
 
 
 class UnknownConfigKey(KeyError):
@@ -62,9 +67,13 @@ def _coerce(value: str, annotation) -> object:
         raise BadConfigLine(f"expected a boolean, got {value!r}")
     if annotation in (int, float):
         try:
-            return annotation(value)
+            number = annotation(value)
         except ValueError:
             raise BadConfigLine(f"expected {annotation.__name__}, got {value!r}") from None
+        # A NaN compares false with everything, so it would pass every range check.
+        if annotation is float and not math.isfinite(number):
+            raise BadConfigLine(f"expected a finite number, got {value!r}")
+        return number
     return value
 
 

@@ -15,6 +15,7 @@ from datetime import date
 import numpy as np
 
 from .cnn import ModelWeights, Prediction, predict_batch
+from .configfile import InvalidConfig
 from .history import HistoricalRecord
 from .raster import RasterImage
 
@@ -29,6 +30,10 @@ class DefenseWarning(enum.Enum):
 class VotePolicy:
     min_history: int = 3
     change_threshold: float = 0.90
+
+    def __post_init__(self):
+        if self.min_history < 1:
+            raise InvalidConfig(f"min_history must be >= 1, got {self.min_history}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .attack import AttackConfig, ShadowSpec, apply_shadow, run_attack
+from .attack import AttackConfig, AttackResult, ShadowSpec, apply_shadow, run_attack
 from .cnn import (
     Classifier,
     EmptyDataset,
@@ -136,6 +136,21 @@ class ExperimentReport:
 # Attack sweep
 
 
+def attack_image(
+    img: RasterImage, label: int, victim, config: AttackConfig, mask_params: MaskParams, mask: BinaryMask | None = None
+) -> tuple[AttackResult, str]:
+    """run_attack on img within mask, else within img's mask made with
+    mask_params, else within the full frame and a note that says why."""
+    note = ""
+    if mask is None:
+        try:
+            mask = generate_mask(img, mask_params)
+        except NoContourFound:
+            mask = BinaryMask.full(img.width, img.height)
+            note = "full-frame fallback: no contour found"
+    return run_attack(img, mask, victim, label, config), note
+
+
 def run_attack_sweep(
     weights: ModelWeights,
     dataset: LabeledImageSet,
@@ -166,14 +181,8 @@ def run_attack_sweep(
 
     def attack_row(target) -> AttackRecord:
         image_id, img, label, clean = target
-        note = ""
-        try:
-            mask = generate_mask(img, mask_params)
-        except NoContourFound:
-            mask = BinaryMask.full(img.width, img.height)
-            note = "full-frame fallback: no contour found"
         per_image = dataclasses.replace(config, seed=config.seed * 100003 + image_id)
-        result = run_attack(img, mask, clf, label, per_image)
+        result, note = attack_image(img, label, clf, per_image, mask_params)
         return AttackRecord(
             image_id=image_id,
             true_label=label,

@@ -136,6 +136,7 @@ def resize_bilinear(img: RasterImage | np.ndarray, out_w: int, out_h: int) -> Ra
     if w == 2 * out_w and h == 2 * out_h:
         out = _halve(px)
         return RasterImage(out) if isinstance(img, RasterImage) else out
+    # Plain numpy: this path is cold, since every resize the sweep makes is 2:1.
     # Half-pixel centers: dst center (i+0.5) maps to src coordinate space.
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
@@ -145,24 +146,15 @@ def resize_bilinear(img: RasterImage | np.ndarray, out_w: int, out_h: int) -> Ra
     y0 = np.floor(sy).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    # fx repeated per channel keeps the ufunc inner loops out_w*c long.
-    fx = np.repeat(sx - x0, px.shape[-1]).reshape(out_w, -1)
+    fx = (sx - x0)[:, None]
     fy = (sy - y0)[:, None, None]
 
     def blend(ys):
-        # a * (1 - fx) + b * fx along the source rows ys. The corners are
-        # gathered as uint8 and widened after, which gives the values a
-        # float64 gather would; the in-place steps round alike.
         rows = px.take(ys, axis=-3)
-        row = rows.take(x0, axis=-2).astype(np.float64)
-        row *= 1 - fx
-        row += rows.take(x1, axis=-2) * fx
-        return row
+        return rows.take(x0, axis=-2) * (1 - fx) + rows.take(x1, axis=-2) * fx
 
-    out = blend(y0)
-    out *= 1 - fy
-    out += blend(y1) * fy
-    out = np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
+    out = blend(y0) * (1 - fy) + blend(y1) * fy
+    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return RasterImage(out) if isinstance(img, RasterImage) else out
 
 

@@ -16,7 +16,8 @@ same answer for any finite pair. The saving comes from doing less work:
 each class's edge tables are worked out once, at import; pixel
 coordinates come from side-long vectors, since x and y enter separably;
 each layer is tested only in a window around it that holds all its
-pixels; and the tests and the paint run in place. There is no per-side
+pixels; and the paint runs in place (the region tests are plain
+expressions: scratch planes measured no faster). There is no per-side
 grid cache: the side-long vectors cost less to build than a cached grid
 costs to combine, so a large synth.side pins no memory.
 """
@@ -32,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attack import InvalidConfig
 from .codecs import save_image
+from .configfile import InvalidConfig
 from .dataset import LabeledImageSet
 from .raster import RasterImage
 
@@ -71,6 +72,14 @@ class SynthConfig:
     test_per_class: int = 4
     side: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        if self.per_class < 1:
+            raise InvalidConfig(f"per_class must be >= 1, got {self.per_class}")
+        if self.test_per_class < 0:
+            raise InvalidConfig(f"test_per_class must be >= 0, got {self.test_per_class}")
+        if self.side < 16:
+            raise InvalidConfig(f"side must be >= 16, got {self.side}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +147,7 @@ def _shape_region(shape: str, scale: float = 1.0) -> _Region:
 
 
 def _inside(region: _Region, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Whether each point (px, py) lies in region.
-
-    Each term is the reference's, computed in place on scratch planes.
-    """
-    a, b, c, d = np.empty((4, *px.shape))
-    out, hit = np.empty((2, *px.shape), dtype=bool)
+    """Whether each point (px, py) lies in region; each term is the reference's."""
     if region.kind == "convex":
         ccw, edges = region.terms
         # The reference tests sign * (a - b) >= 0 with sign = +1 or -1. For
@@ -151,33 +155,22 @@ def _inside(region: _Region, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         # the sign of the exact difference, so a >= b (or a <= b) is the
         # same test without the subtraction.
         test = np.greater_equal if ccw else np.less_equal
-        for i, (x1, y1, ex, ey) in enumerate(edges):
-            np.multiply(np.subtract(py, y1, out=a), ex, out=a)
-            np.multiply(np.subtract(px, x1, out=b), ey, out=b)
-            if i == 0:
-                test(a, b, out=out)
-            else:
-                out &= test(a, b, out=hit)
-    elif region.kind == "circle":
-        np.add(np.multiply(px, px, out=a), np.multiply(py, py, out=b), out=a)
-        np.less_equal(a, region.terms[0], out=out)
-    elif region.kind == "bar":
+        out = np.ones(px.shape, dtype=bool)
+        for x1, y1, ex, ey in edges:
+            out &= test((py - y1) * ex, (px - x1) * ey)
+        return out
+    if region.kind == "circle":
+        return px * px + py * py <= region.terms[0]
+    if region.kind == "bar":
         gx, gy, cos_a, sin_a, halflen, halfwidth = region.terms
-        dx = np.subtract(px, gx, out=a)
-        dy = np.subtract(py, gy, out=b)
-        along = np.add(np.multiply(dx, cos_a, out=c), np.multiply(dy, sin_a, out=d), out=c)
-        np.less_equal(np.abs(along, out=c), halflen, out=out)
+        dx = px - gx
+        dy = py - gy
         # -dx * sin_a rounds to -(dx * sin_a), and x + -y is x - y.
-        across = np.subtract(np.multiply(dy, cos_a, out=c), np.multiply(dx, sin_a, out=d), out=c)
-        out &= np.less_equal(np.abs(across, out=c), halfwidth, out=hit)
-    elif region.kind == "dot":
+        return (np.abs(dx * cos_a + dy * sin_a) <= halflen) & (np.abs(dy * cos_a - dx * sin_a) <= halfwidth)
+    if region.kind == "dot":
         gx, gy, r2 = region.terms
-        dx2 = np.square(np.subtract(px, gx, out=a), out=a)
-        dy2 = np.square(np.subtract(py, gy, out=b), out=b)
-        np.less_equal(np.add(dx2, dy2, out=a), r2, out=out)
-    else:
-        raise ValueError(f"unknown region kind {region.kind!r}")
-    return out
+        return (px - gx) ** 2 + (py - gy) ** 2 <= r2
+    raise ValueError(f"unknown region kind {region.kind!r}")
 
 
 # (shape, fill, ring color or None, ring inner scale, glyph list)
@@ -383,12 +376,6 @@ def render_sign(label: int, side: int, rng: np.random.Generator) -> RasterImage:
 
 def synth_dataset(config: SynthConfig = SynthConfig()) -> LabeledImageSet:
     """Train/test corpus over all 16 classes, deterministic under the seed."""
-    if config.per_class < 1:
-        raise InvalidConfig(f"per_class must be >= 1, got {config.per_class}")
-    if config.test_per_class < 0:
-        raise InvalidConfig(f"test_per_class must be >= 0, got {config.test_per_class}")
-    if config.side < 16:
-        raise InvalidConfig(f"side must be >= 16, got {config.side}")
     rng = np.random.default_rng(config.seed)
     ds = LabeledImageSet(class_names=list(CLASS_NAMES))
     for label in range(len(CLASS_NAMES)):

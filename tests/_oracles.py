@@ -8,6 +8,8 @@ different routes to the same answer.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -196,6 +198,23 @@ def png_forward_filter(ftype: int, cur: np.ndarray, prev: np.ndarray, bpp: int) 
             raise ValueError(ftype)
         out[i] = (int(cur[i]) - pred) % 256
     return out
+
+
+def reference_encode_png(img: RasterImage) -> bytes:
+    """An 8-bit PNG as first encoded: filter-0 scanlines joined in a row
+    loop, each chunk framed as length, tag, payload, CRC-32."""
+
+    def chunk(tag: bytes, payload: bytes) -> bytes:
+        return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", zlib.crc32(tag + payload))
+
+    ihdr = struct.pack(">IIBBBBB", img.width, img.height, 8, 0 if img.channels == 1 else 2, 0, 0, 0)
+    raw = img.pixels.tobytes()
+    stride = img.width * img.channels
+    lines = bytearray()
+    for y in range(img.height):
+        lines.append(0)
+        lines += raw[y * stride : (y + 1) * stride]
+    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(bytes(lines))) + chunk(b"IEND", b"")
 
 
 def mk_pred(label: int, confidence: float, num_classes: int = 16) -> Prediction:

@@ -342,15 +342,15 @@ class TestRunAttack:
     def test_invalid_fitness_and_vertices(self):
         img = flat_image(200, 16, 16)
         mask = BinaryMask.full(16, 16)
-        for cfg in (
-            AttackConfig(fitness="nope"),
-            AttackConfig(vertices=2),
-            AttackConfig(darkening=0.0),
-            AttackConfig(darkening=1.5),
+        for kwargs in (
+            dict(fitness="nope"),
+            dict(vertices=2),
+            dict(darkening=0.0),
+            dict(darkening=1.5),
         ):
             counter = CountingVictim(MeanVictim())
             with pytest.raises(InvalidConfig):
-                run_attack(img, mask, counter, 1, cfg)
+                run_attack(img, mask, counter, 1, AttackConfig(**kwargs))
             assert counter.batches == []  # rejected before any victim query
 
     @pytest.mark.parametrize("size", [32, 80])

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from chrono_shield import cli, harness, history
 from chrono_shield.attack import AttackConfig, InvalidConfig
 from chrono_shield.cnn import (
+    Classifier,
     ModelConfig,
     ModelWeights,
     TrainConfig,
@@ -207,6 +209,22 @@ class TestConfigFile:
         with pytest.raises(BadConfigLine, match=repr(value)):
             apply_overrides(AttackConfig(), {f"attack.{key}": value}, "attack")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            f"{stage}.{name}"
+            for stage, config in harness.STAGES.items()
+            for name, hint in typing.get_type_hints(config).items()
+            if hint is float
+        ],
+    )
+    def test_non_finite_number_rejected(self, key, value):
+        # A NaN radius or heading tolerance would match every archive row.
+        stage = key.partition(".")[0]
+        with pytest.raises(BadConfigLine, match=repr(value)):
+            apply_overrides(harness.STAGES[stage](), {key: value}, stage)
+
 
 # ---------------------------------------------------------------------------
 # Attack sweep plumbing
@@ -226,6 +244,16 @@ class TestAttackSweep:
         assert not row.success
         assert report.attack_success_rate() == 0.0
         assert row.adversarial_image is not None and row.shadow is not None
+
+    def test_attack_image_falls_back_to_the_full_frame(self, monkeypatch):
+        seen = []
+        run_attack = harness.run_attack
+        monkeypatch.setattr(harness, "run_attack", lambda img, mask, *rest: seen.append(mask) or run_attack(img, mask, *rest))
+        victim = Classifier(zeroed(TINY_MODEL))
+        result, note = harness.attack_image(flat_image(128, 16, 16), 0, victim, AttackConfig(swarm=2, iterations=1), MaskParams())
+        assert note == "full-frame fallback: no contour found"
+        assert len(seen) == 1 and seen[0].bits.shape == (16, 16) and seen[0].bits.all()
+        assert result.adversarial_image.pixels.shape == (16, 16, 3)
 
     def test_max_images_caps_the_sweep(self):
         ds = synth_dataset(SynthConfig(per_class=1, test_per_class=1, side=32, seed=0))
@@ -755,6 +783,17 @@ class TestCli:
         adv = load_image(str(dest))
         assert (adv.width, adv.height) == (16, 16)
 
+    def test_attack_on_a_frame_without_contour_uses_the_full_frame(self, cli_workspace, tmp_path, capsys):
+        _, _, out = cli_workspace
+        flat = tmp_path / "flat.png"
+        save_image(flat_image(128, 16, 16), str(flat))
+        rc = cli.main(
+            ["--out", str(tmp_path / "adv.png"), "attack", "--model", str(out / "weights.csw"),
+             "--image", str(flat), "--label", "stop", "--swarm", "2", "--iters", "1"]
+        )
+        assert rc == 0
+        assert "] (full-frame fallback: no contour found)\n" in capsys.readouterr().out
+
     def test_attack_reads_mask_keys(self, cli_workspace, tmp_path, rng, monkeypatch):
         _, _, out = cli_workspace
         sign = tmp_path / "sign.png"
@@ -762,8 +801,8 @@ class TestCli:
         cfg = tmp_path / "mask.cfg"
         cfg.write_text("mask.low = 40\nmask.high = 120\n")
         seen = []
-        generate_mask = cli.generate_mask
-        monkeypatch.setattr(cli, "generate_mask", lambda img, params: seen.append(params) or generate_mask(img, params))
+        generate_mask = harness.generate_mask
+        monkeypatch.setattr(harness, "generate_mask", lambda img, params: seen.append(params) or generate_mask(img, params))
         rc = cli.main(
             ["--config", str(cfg), "--out", str(tmp_path / "adv.png"), "attack",
              "--model", str(out / "weights.csw"), "--image", str(sign),
@@ -885,6 +924,16 @@ class TestCli:
         assert (rc, calls) == (2, [])
         assert capsys.readouterr().err == "bad input: no test items\n"
 
+    def test_sweep_with_a_bad_attack_setting_trains_nothing(self, cli_workspace, tmp_path, monkeypatch, capsys):
+        _, tiny_cfg, _ = cli_workspace
+        cfg = tmp_path / "swarm_0.cfg"
+        cfg.write_text(tiny_cfg.read_text() + "attack.swarm = 0\n")
+        calls = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: calls.append(args))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
+        assert (rc, calls) == (2, [])
+        assert capsys.readouterr().err == "bad input: swarm and iterations must be positive, got 0, 2\n"
+
     BAD_INPUTS = {
         "mask-size": ["attack", "--mask", "{small_mask}"],
         "empty-mask": ["attack", "--mask", "{black_mask}"],
@@ -929,6 +978,11 @@ class TestCli:
         "sweep-side-20": ["--config", "{cfg_sweep_side_20}", "sweep", "--max-images", "1"],
         "sweep-10-classes": ["--config", "{cfg_sweep_10_classes}", "sweep", "--max-images", "1"],
         "sweep-no-test-items": ["--config", "{cfg_sweep_no_test_items}", "sweep", "--max-images", "1"],
+        "sweep-radius-nan": ["--config", "{cfg_sweep_radius_nan}", "sweep", "--max-images", "1"],
+        "sweep-batch-size-0": ["--config", "{cfg_sweep_batch_size_0}", "sweep", "--max-images", "1"],
+        "sweep-min-history-0": ["--config", "{cfg_sweep_min_history_0}", "sweep", "--max-images", "1"],
+        "sweep-one-channel-count": ["--config", "{cfg_sweep_one_channel_count}", "sweep", "--max-images", "1"],
+        "sweep-vertices-2": ["--config", "{cfg_sweep_vertices_2}", "sweep", "--max-images", "1"],
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -970,6 +1024,11 @@ class TestCli:
             ("sweep_side_20", "synth.side = 20"),
             ("sweep_10_classes", "model.num_classes = 10"),
             ("sweep_no_test_items", "synth.test_per_class = 0"),
+            ("sweep_radius_nan", "match.radius_m = nan"),
+            ("sweep_batch_size_0", "train.batch_size = 0"),
+            ("sweep_min_history_0", "vote.min_history = 0"),
+            ("sweep_one_channel_count", "model.channels = 16"),
+            ("sweep_vertices_2", "attack.vertices = 2"),
         ):
             (tmp_path / f"{name}.cfg").write_text(tiny_cfg.read_text() + line + "\n")
         weights = (out / "weights.csw").read_bytes()
@@ -1001,6 +1060,11 @@ class TestCli:
             cfg_sweep_side_20=tmp_path / "sweep_side_20.cfg",
             cfg_sweep_10_classes=tmp_path / "sweep_10_classes.cfg",
             cfg_sweep_no_test_items=tmp_path / "sweep_no_test_items.cfg",
+            cfg_sweep_radius_nan=tmp_path / "sweep_radius_nan.cfg",
+            cfg_sweep_batch_size_0=tmp_path / "sweep_batch_size_0.cfg",
+            cfg_sweep_min_history_0=tmp_path / "sweep_min_history_0.cfg",
+            cfg_sweep_one_channel_count=tmp_path / "sweep_one_channel_count.cfg",
+            cfg_sweep_vertices_2=tmp_path / "sweep_vertices_2.cfg",
         )
         args = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
         options = []  # options before the command

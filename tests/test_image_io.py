@@ -31,7 +31,7 @@ from chrono_shield.raster import (
     to_grayscale,
 )
 
-from _oracles import dense_gaussian_blur, direct_bilinear, png_forward_filter
+from _oracles import dense_gaussian_blur, direct_bilinear, png_forward_filter, reference_encode_png
 from conftest import flat_image, random_image
 
 
@@ -310,6 +310,13 @@ class TestPng:
     def test_gray_round_trip(self, rng):
         img = random_image(rng, 3, 8, channels=1)
         assert decode_image(encode_image(img, "png"), "png") == img
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("w, h", [(1, 1), (7, 5), (13, 2), (64, 64)])
+    def test_encoder_bytes_match_the_reference(self, rng, w, h, channels):
+        # The archive, the fixture server and the remote cache all store these bytes.
+        img = random_image(rng, w, h, channels=channels)
+        assert encode_image(img, "png") == reference_encode_png(img)
 
     def test_all_filter_types_against_forward_reference(self, rng):
         # Encode each scanline with a different filter using the
