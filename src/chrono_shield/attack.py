@@ -53,6 +53,8 @@ class PsoConfig:
     def __post_init__(self):
         if self.swarm < 1 or self.iterations < 1:
             raise InvalidConfig(f"swarm and iterations must be positive, got {self.swarm}, {self.iterations}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

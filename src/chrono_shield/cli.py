@@ -30,7 +30,7 @@ from .cnn import (
     save_weights,
     train,
 )
-from .codecs import load_image, save_image
+from .codecs import IMAGE_FORMATS, load_image, save_image
 from .configfile import BadConfigLine, UnknownConfigKey, apply_overrides, check_namespaces, parse_config_file
 from .dataset import DatasetMalformed, DatasetMissing, load_dataset, save_dataset
 from .defense import class_name, defend, format_verdict
@@ -38,12 +38,12 @@ from .fixture_server import HistoryFixtureServer
 from .harness import STAGES, attack_image, emit_report, fit_input_side, run_full_sweep
 from .history import (
     HistoryQuery,
+    LocalArchive,
     ManifestMalformed,
     ManifestMissing,
     NetworkUnreachable,
     ProtocolError,
     RemoteHistoryClient,
-    query_archive,
 )
 from .masks import BinaryMask, InvalidThresholds, NoContourFound, generate_mask
 from .raster import InvalidRadius, InvalidSigma
@@ -51,7 +51,7 @@ from .synth import CLASS_NAMES, synth_dataset
 
 log = logging.getLogger("chrono_shield")
 
-_IMAGE_EXTS = (".png", ".ppm", ".pgm")
+_IMAGE_EXTS = tuple(f".{fmt}" for fmt in IMAGE_FORMATS)
 
 _SEEDED = ("synth", "train", "attack")
 
@@ -251,7 +251,7 @@ def _cmd_defend(args) -> int:
         finally:
             client.close()
     else:
-        records = query_archive(args.history, query, cfg["match"])
+        records = LocalArchive(args.history, cfg["match"]).query(query)
     verdict = defend(img, records, weights, cfg["vote"])
     print(format_verdict(verdict, CLASS_NAMES))
     return 0

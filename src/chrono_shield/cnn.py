@@ -52,8 +52,12 @@ class ModelConfig:
     num_classes: int = 16
 
     def __post_init__(self):
+        if self.input_side % 8 != 0 or self.input_side < 8:
+            raise InvalidConfig(f"input_side must be a positive multiple of 8, got {self.input_side}")
         if len(self.channels) != 3 or min(self.channels) < 1:
             raise InvalidConfig(f"channels must be three positive counts, got {self.channels}")
+        if self.num_classes < 1:
+            raise InvalidConfig(f"num_classes must be >= 1, got {self.num_classes}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0 or self.seed < 0:
+            raise InvalidConfig(f"epochs and seed must be >= 0, got {self.epochs}, {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +105,12 @@ class ModelWeights:
     conv3_b: np.ndarray
     fc_w: np.ndarray
     fc_b: np.ndarray
-    input_side: int = 32
 
     def __post_init__(self):
         c1, c2, c3 = self.conv1_w.shape[0], self.conv2_w.shape[0], self.conv3_w.shape[0]
-        side = self.input_side
-        if side % 8 != 0 or side < 8:
-            raise ShapeMismatch(f"input side must be a positive multiple of 8, got {side}")
+        cells, rest = divmod(self.fc_w.shape[-1], c3)
+        if rest or cells < 1 or math.isqrt(cells) ** 2 != cells:
+            raise ShapeMismatch(f"fc_w reads {self.fc_w.shape[-1]} inputs, not a square grid of {c3}-channel cells")
         expect = {
             "conv1_w": (c1, 3, 3, 3),
             "conv1_b": (c1,),
@@ -113,13 +118,18 @@ class ModelWeights:
             "conv2_b": (c2,),
             "conv3_w": (c3, c2, 3, 3),
             "conv3_b": (c3,),
-            "fc_w": (self.fc_w.shape[0], (side // 8) ** 2 * c3),
+            "fc_w": (self.fc_w.shape[0], cells * c3),
             "fc_b": (self.fc_w.shape[0],),
         }
         for name, shape in expect.items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ShapeMismatch(f"{name}: expected shape {shape}, got {got}")
+
+    @property
+    def input_side(self) -> int:
+        """The frame side the fc layer reads: 8 pixels a cell, cells a square grid."""
+        return 8 * math.isqrt(self.fc_w.shape[1] // self.conv3_w.shape[0])
 
     @property
     def num_classes(self) -> int:
@@ -129,8 +139,7 @@ class ModelWeights:
         return [getattr(self, name) for name in _TENSOR_ORDER]
 
     def astype(self, dtype) -> "ModelWeights":
-        kw = {name: getattr(self, name).astype(dtype) for name in _TENSOR_ORDER}
-        return ModelWeights(input_side=self.input_side, **kw)
+        return ModelWeights(**{name: getattr(self, name).astype(dtype) for name in _TENSOR_ORDER})
 
 
 def init_weights(cfg: ModelConfig = ModelConfig(), seed: int = 0) -> ModelWeights:
@@ -152,7 +161,6 @@ def init_weights(cfg: ModelConfig = ModelConfig(), seed: int = 0) -> ModelWeight
         conv3_b=np.zeros(c3, dtype=np.float32),
         fc_w=he((cfg.num_classes, flat), flat),
         fc_b=np.zeros(cfg.num_classes, dtype=np.float32),
-        input_side=cfg.input_side,
     )
 
 
@@ -464,9 +472,7 @@ def grad_check(
     grads = _net_backward(w64, dlogits, cache)
 
     def loss_at(w):
-        lg = _net_forward(w, x)
-        probs = _softmax(lg)
-        return float(-np.log(probs[0, label] + np.finfo(np.float64).tiny))
+        return _xent_loss_and_grad(_net_forward(w, x), y)[0]
 
     rng = np.random.default_rng(seed)
     sizes = [getattr(w64, name).size for name in _TENSOR_ORDER]
@@ -554,11 +560,4 @@ def load_weights(data: bytes) -> ModelWeights:
         tensors.append(arr.astype(np.float32))
     if pos != end:
         raise ShapeMismatch("trailing bytes after tensor table")
-    c3 = tensors[4].shape[0]
-    fc_in = tensors[6].shape[1]
-    if fc_in % c3 != 0:
-        raise ShapeMismatch("fc input dim is not a multiple of conv3 channels")
-    cells = fc_in // c3
-    side = 8 * int(round(np.sqrt(cells)))
-    kw = dict(zip(_TENSOR_ORDER, tensors))
-    return ModelWeights(input_side=side, **kw)
+    return ModelWeights(**dict(zip(_TENSOR_ORDER, tensors)))

@@ -237,26 +237,26 @@ def _decode_png(data: bytes) -> RasterImage:
 # Dispatch
 
 
+# Each format name and its (encoder, decoder); 'ppm' and 'pgm' both decode P6 and P5.
+_CODECS = {"ppm": (_encode_ppm, _decode_pnm), "pgm": (_encode_pgm, _decode_pnm), "png": (_encode_png, _decode_png)}
+IMAGE_FORMATS = tuple(_CODECS)
+
+
+def _codec(fmt: str):
+    fmt = fmt.lower()
+    if fmt not in _CODECS:
+        raise ValueError(f"unknown image format {fmt!r}")
+    return _CODECS[fmt]
+
+
 def decode_image(data: bytes, fmt: str) -> RasterImage:
     """Decode bytes in the named format ('ppm' covers P6 and P5, 'png')."""
-    fmt = fmt.lower()
-    if fmt in ("ppm", "pgm"):
-        return _decode_pnm(data)
-    if fmt == "png":
-        return _decode_png(data)
-    raise ValueError(f"unknown image format {fmt!r}")
+    return _codec(fmt)[1](data)
 
 
 def encode_image(img: RasterImage, fmt: str) -> bytes:
     """Encode to bytes. 1-channel 'ppm' output replicates the gray channel."""
-    fmt = fmt.lower()
-    if fmt == "ppm":
-        return _encode_ppm(img)
-    if fmt == "pgm":
-        return _encode_pgm(img)
-    if fmt == "png":
-        return _encode_png(img)
-    raise ValueError(f"unknown image format {fmt!r}")
+    return _codec(fmt)[0](img)
 
 
 def sniff_format(data: bytes) -> str:
@@ -276,14 +276,8 @@ def load_image(path) -> RasterImage:
 
 def save_image(img: RasterImage, path) -> None:
     """Write an image, choosing the format from the file extension."""
-    name = str(path).lower()
-    if name.endswith(".png"):
-        fmt = "png"
-    elif name.endswith(".pgm"):
-        fmt = "pgm"
-    elif name.endswith(".ppm"):
-        fmt = "ppm"
-    else:
+    _, dot, fmt = str(path).lower().rpartition(".")
+    if not dot or fmt not in _CODECS:
         raise ValueError(f"cannot infer image format from {path!r}")
     with open(path, "wb") as fh:
         fh.write(encode_image(img, fmt))

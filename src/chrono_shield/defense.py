@@ -38,7 +38,7 @@ class VotePolicy:
 
 @dataclass(frozen=True)
 class Vote:
-    source: str  # "current", "archive", "remote", "manual", "history"
+    source: str  # "current", "archive", "remote", "history"
     prediction: Prediction
     capture_date: date | None = None
 

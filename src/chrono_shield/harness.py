@@ -473,7 +473,7 @@ def _emit_text(report: ExperimentReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-_EMITTERS = {"text-table": _emit_text, "text": _emit_text, "csv": _emit_csv, "json": _emit_json}
+_EMITTERS = {"text-table": _emit_text, "csv": _emit_csv, "json": _emit_json}
 
 
 def emit_report(report: ExperimentReport, format: str = "text-table") -> bytes:

@@ -26,6 +26,7 @@ from datetime import date
 from urllib.parse import quote, urlencode, urlsplit
 
 from . import codecs
+from .configfile import InvalidConfig
 from .raster import RasterImage
 
 log = logging.getLogger(__name__)
@@ -71,11 +72,11 @@ class HistoricalRecord:
     capture_date: date
     location: tuple[float, float]  # (lat, lon)
     heading: float
-    source: str  # "archive" | "remote" | "manual"
+    source: str  # "archive" | "remote"
 
     def __post_init__(self):
         _check_location(self.location)
-        if self.source not in ("archive", "remote", "manual"):
+        if self.source not in ("archive", "remote"):
             raise ValueError(f"unknown record source {self.source!r}")
 
 
@@ -98,6 +99,11 @@ class HistoryQuery:
 class MatchPolicy:
     radius_m: float = 25.0
     heading_tol_deg: float = 45.0
+
+    def __post_init__(self):
+        # A negative bound matches no row, so every sign would vote alone.
+        if self.radius_m < 0 or self.heading_tol_deg < 0:
+            raise InvalidConfig(f"radius_m and heading_tol_deg must be >= 0, got {self.radius_m}, {self.heading_tol_deg}")
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,8 @@ def parse_manifest(text: str, path_key: str = "path") -> list[ManifestEntry]:
     return [_parse_entry(row, path_key) for row in doc]
 
 
+# Kept for the benchmark's local pass, which builds an archive per query
+# through query_archive; without it each query re-parses the manifest.
 @functools.lru_cache(maxsize=1)
 def _parse_archive_manifest(text: str) -> tuple[ManifestEntry, ...]:
     return tuple(parse_manifest(text))
@@ -219,9 +227,9 @@ def resolve_inside(real_root: str, path: str) -> str | None:
     return full if full.startswith(real_root + os.sep) else None
 
 
-def _records(entries: list[ManifestEntry], fetch, source: str) -> tuple[list[HistoricalRecord], int]:
+def _records(entries: list[ManifestEntry], fetch, source: str) -> list[HistoricalRecord]:
     """Records for the entries whose image fetch(entry.path) returns, in
-    entry order, and how many entries it returned None for."""
+    entry order."""
     records = []
     for e in entries:
         img = fetch(e.path)
@@ -236,7 +244,7 @@ def _records(entries: list[ManifestEntry], fetch, source: str) -> tuple[list[His
                 source=source,
             )
         )
-    return records, len(entries) - len(records)
+    return records
 
 
 class LocalArchive:
@@ -265,12 +273,12 @@ class LocalArchive:
 
     def query(self, query: HistoryQuery) -> list[HistoricalRecord]:
         """Matching records, newest first."""
-        records, _ = _records(filter_entries(self.entries, query, self.policy), self._load, "archive")
-        return records
+        return _records(filter_entries(self.entries, query, self.policy), self._load, "archive")
 
 
 def query_archive(root, query: HistoryQuery, policy: MatchPolicy = MatchPolicy()) -> list[HistoricalRecord]:
-    """LocalArchive(root, policy).query(query), the manifest read afresh."""
+    """LocalArchive(root, policy).query(query), the manifest read afresh.
+    Nothing in the package calls it; the benchmark's local pass does."""
     return LocalArchive(root, policy).query(query)
 
 
@@ -335,7 +343,8 @@ class RemoteHistoryClient:
     entry that no longer parses is deleted and fetched again. Per-image
     fetch failures are skipped and counted in last_failures ("what
     succeeded plus a warning count"); last_network_requests says whether
-    the previous query touched the network at all.
+    the previous query touched the network at all. Nothing in the package
+    reads either; the benchmark's defend workload does.
     """
 
     def __init__(self, endpoint: str, cache_dir=None, policy: MatchPolicy = MatchPolicy(), timeout: float = 10.0):
@@ -469,6 +478,7 @@ class RemoteHistoryClient:
         # Re-apply the geometric filter so remote results obey the same
         # predicates as archive queries regardless of server behavior.
         entries = filter_entries(self._fetch_manifest(query), query, self.policy)
-        records, self.last_failures = _records(entries, self._fetch_image, "remote")
+        records = _records(entries, self._fetch_image, "remote")
+        self.last_failures = len(entries) - len(records)
         return records
 

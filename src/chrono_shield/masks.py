@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .raster import InvalidRadius, RasterImage, gaussian_blur, to_grayscale
+from .raster import InvalidRadius, RasterImage, gaussian_blur, gaussian_kernel, to_grayscale
 
 
 class InvalidThresholds(ValueError):
@@ -104,6 +104,13 @@ class MaskParams:
     close_k: int = 2
     min_area_frac: float = 0.01
 
+    def __post_init__(self):
+        # The checks generate_mask's steps make, so a bad value fails here.
+        gaussian_kernel(self.sigma, self.blur_radius)
+        _check_thresholds(self.low, self.high)
+        _check_k(self.dilate_k)
+        _check_k(self.close_k)
+
 
 # ---------------------------------------------------------------------------
 # Edges
@@ -124,6 +131,11 @@ def _sobel(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
+def _check_thresholds(low: float, high: float) -> None:
+    if not (0 < low < high):
+        raise InvalidThresholds(f"need 0 < low < high, got low={low} high={high}")
+
+
 def canny_edges(img: RasterImage, low: float = 50.0, high: float = 150.0) -> BinaryMask:
     """Canny edge map of an (already blurred) 1-channel image.
 
@@ -131,8 +143,7 @@ def canny_edges(img: RasterImage, low: float = 50.0, high: float = 150.0) -> Bin
     hysteresis flood through 8-neighbors. The 1-px image border never
     carries edges.
     """
-    if not (0 < low < high):
-        raise InvalidThresholds(f"need 0 < low < high, got low={low} high={high}")
+    _check_thresholds(low, high)
     if img.channels != 1:
         raise ValueError("canny_edges expects a 1-channel image")
     plane = img.pixels[:, :, 0].astype(np.float64)
@@ -189,14 +200,9 @@ def _dilate_bits(bits: np.ndarray, k: int) -> np.ndarray:
 
 
 def _erode_bits(bits: np.ndarray, k: int) -> np.ndarray:
-    # Outside-the-frame counts as true so closing is a no-op on full masks.
-    h, w = bits.shape
-    padded = np.pad(bits, k, mode="constant", constant_values=True)
-    out = np.ones_like(bits)
-    for dy in range(2 * k + 1):
-        for dx in range(2 * k + 1):
-            out &= padded[dy : dy + h, dx : dx + w]
-    return out
+    # The dual of dilation: outside the frame counts as true, so closing is
+    # a no-op on full masks.
+    return ~_dilate_bits(~bits, k)
 
 
 def _check_k(k: int) -> None:

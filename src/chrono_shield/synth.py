@@ -24,7 +24,6 @@ costs to combine, so a large synth.side pins no memory.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ import numpy as np
 from .codecs import save_image
 from .configfile import InvalidConfig
 from .dataset import LabeledImageSet
+from .history import ManifestEntry, dump_manifest
 from .raster import RasterImage
 
 CLASS_NAMES = [
@@ -80,6 +80,8 @@ class SynthConfig:
             raise InvalidConfig(f"test_per_class must be >= 0, got {self.test_per_class}")
         if self.side < 16:
             raise InvalidConfig(f"side must be >= 16, got {self.side}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +411,7 @@ def make_history_archive(
     Returns the (lat, lon, heading) per sign for later queries.
     """
     os.makedirs(root, exist_ok=True)
-    rows = []
+    entries = []
     coords = []
     for i, label in enumerate(labels):
         lat = 40.0 + 0.001 * i
@@ -426,11 +428,9 @@ def make_history_archive(
             img = render_sign(label, side, rng)
             rel = f"sign{i:04d}_{when.isoformat()}.png"
             save_image(img, os.path.join(root, rel))
-            rows.append(
-                {"path": rel, "date": when.isoformat(), "lat": lat, "lon": lon, "heading": heading}
-            )
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
+            entries.append(ManifestEntry(rel, when, lat, lon, heading))
+    with open(os.path.join(root, "manifest.json"), "wb") as fh:
+        fh.write(dump_manifest(entries))
     return coords
 
 

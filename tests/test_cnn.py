@@ -96,14 +96,16 @@ class TestInit:
                 conv3_b=w.conv3_b,
                 fc_w=w.fc_w,
                 fc_b=w.fc_b,
-                input_side=8,
             )
 
     def test_input_side_must_be_multiple_of_eight(self):
+        # The side is read from fc_w: a square grid of 8-pixel cells per channel.
         w = init_weights(TINY, seed=0)
-        kw = {n: getattr(w, n) for n in ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "conv3_w", "conv3_b", "fc_w", "fc_b")}
-        with pytest.raises(ShapeMismatch):
-            ModelWeights(input_side=12, **kw)
+        kw = {n: getattr(w, n) for n in ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "conv3_w", "conv3_b", "fc_b")}
+        for cells in (0, 2, 3):
+            fc_w = np.zeros((w.num_classes, cells * w.conv3_w.shape[0]), dtype=np.float32)
+            with pytest.raises(ShapeMismatch):
+                ModelWeights(fc_w=fc_w, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ class TestEmitReport:
         return r
 
     def test_empty_text(self):
-        out = emit_report(ExperimentReport(class_names=[]), "text")
+        out = emit_report(ExperimentReport(class_names=[]), "text-table")
         assert b"empty report" in out
 
     def test_csv_shape(self):
@@ -933,6 +933,38 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
         assert (rc, calls) == (2, [])
         assert capsys.readouterr().err == "bad input: swarm and iterations must be positive, got 0, 2\n"
+
+    # Every field of every stage config, each to be set to -1 and to 0.
+    STAGE_KEYS = [f"{stage}.{f.name}" for stage, config in harness.STAGES.items() for f in dataclasses.fields(config)]
+    # The settings among those that a stage config refuses as it is built.
+    REFUSED_SETTINGS = {
+        "synth.seed = -1", "train.seed = -1", "attack.seed = -1", "train.epochs = -1",
+        "model.input_side = -1", "model.input_side = 0", "model.num_classes = -1", "model.num_classes = 0",
+        "match.radius_m = -1", "match.heading_tol_deg = -1",
+        *(f"mask.{name} = {value}" for name in ("sigma", "blur_radius", "low", "high", "dilate_k", "close_k")
+          for value in (-1, 0)),
+    }
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    @pytest.mark.parametrize("key", STAGE_KEYS)
+    def test_every_stage_setting_is_refused_before_training_or_run(
+        self, cli_workspace, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # A sweep either runs, or exits 2 with one stderr line before any
+        # training; it never ends in a traceback.
+        _, tiny_cfg, _ = cli_workspace
+        setting = f"{key} = {value}"
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(tiny_cfg.read_text() + setting + "\n")
+        calls, real_train = [], harness.train
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: calls.append(args) or real_train(*args, **kwargs))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep", "--max-images", "1"])
+        err = capsys.readouterr().err
+        if setting in self.REFUSED_SETTINGS:
+            assert rc == 2
+        assert rc in (0, 2)
+        if rc == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("bad input: ") and calls == []
 
     BAD_INPUTS = {
         "mask-size": ["attack", "--mask", "{small_mask}"],

@@ -467,6 +467,36 @@ class TestDispatch:
         with pytest.raises(ValueError):
             save_image(random_image(rng, 2, 2), tmp_path / "img.bmp")
 
+    # Each file name and the magic save_image writes under it, or None where
+    # it refuses: the extension after the last dot picks the format, in any case.
+    SAVE_NAMES = {
+        "a.png": b"\x89PNG",
+        "a.PNG": b"\x89PNG",
+        ".png": b"\x89PNG",
+        "a.ppm.png": b"\x89PNG",
+        "a.ppm": b"P6",
+        "a.Pgm": b"P5",
+        "a.PGM": b"P5",
+        "png": None,
+        "apng": None,
+        "a.png.bak": None,
+        "a.jpg": None,
+        "a.": None,
+        "a_png": None,
+    }
+
+    @pytest.mark.parametrize("name", list(SAVE_NAMES))
+    def test_save_image_picks_the_format_from_the_extension(self, tmp_path, rng, name):
+        img = random_image(rng, 3, 2, channels=1)
+        magic = self.SAVE_NAMES[name]
+        if magic is None:
+            with pytest.raises(ValueError, match="cannot infer image format"):
+                save_image(img, tmp_path / name)
+            assert not (tmp_path / name).exists()
+        else:
+            save_image(img, tmp_path / name)
+            assert (tmp_path / name).read_bytes().startswith(magic)
+
 
 # ---------------------------------------------------------------------------
 # Properties
