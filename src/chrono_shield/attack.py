@@ -159,29 +159,22 @@ def pso_minimize(
     objective,
     dim: int,
     config: PsoConfig = PsoConfig(),
-    vector_objective=None,
     should_stop=None,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Canonical global-best PSO over the [0,1]^dim box.
 
-    objective maps a (dim,) position to a scalar; vector_objective, when
-    given, evaluates a whole (n, dim) batch per iteration and takes
-    precedence. Returns (best position, best fitness, per-iteration trace
-    of the best fitness, which is non-increasing). should_stop() is polled
-    after every evaluation round for early exit.
+    objective maps the swarm's (n, dim) positions to their (n,) fitnesses,
+    one call per round. Returns (best position, best fitness, per-iteration
+    trace of the best fitness, which is non-increasing). should_stop() is
+    polled after every evaluation round for early exit.
     """
     if dim < 1:
         raise InvalidConfig(f"dim must be positive, got {dim}")
     rng = np.random.default_rng(config.seed)
 
-    def evaluate(x):
-        if vector_objective is not None:
-            return np.asarray(vector_objective(x), dtype=np.float64)
-        return np.array([float(objective(row)) for row in x], dtype=np.float64)
-
     x = rng.random((config.swarm, dim))
     v = np.zeros_like(x)  # particles start at rest
-    fit = evaluate(x)
+    fit = np.asarray(objective(x), dtype=np.float64)
     pbest = x.copy()
     pfit = fit.copy()
     g = int(pfit.argmin())
@@ -196,7 +189,7 @@ def pso_minimize(
         r2 = rng.random((config.swarm, dim))
         v = config.inertia * v + config.cognitive * r1 * (pbest - x) + config.social * r2 * (gbest - x)
         x = np.clip(x + v, 0.0, 1.0)
-        fit = evaluate(x)
+        fit = np.asarray(objective(x), dtype=np.float64)
         improved = fit < pfit
         pbest[improved] = x[improved]
         pfit[improved] = fit[improved]
@@ -262,13 +255,7 @@ def run_attack(
     def should_stop() -> bool:
         return config.early_stop and best_flip is not None
 
-    gbest, _, trace = pso_minimize(
-        objective=None,
-        dim=2 * k,
-        config=config,
-        vector_objective=batch_objective,
-        should_stop=should_stop,
-    )
+    gbest, _, trace = pso_minimize(batch_objective, 2 * k, config, should_stop=should_stop)
 
     if best_flip is not None:
         shadow = best_flip["shadow"]

@@ -25,6 +25,7 @@ from .cnn import (
     EmptyDataset,
     LabelOutOfRange,
     ShapeMismatch,
+    TrainingDiverged,
     evaluate,
     load_weights,
     save_weights,
@@ -134,7 +135,7 @@ _INPUT_ERRORS = (
     DatasetMissing, DatasetMalformed,
     ManifestMissing, ManifestMalformed, NetworkUnreachable, ProtocolError,
     BadConfigLine, UnknownConfigKey,
-    EmptyDataset, LabelOutOfRange, ShapeMismatch,
+    EmptyDataset, LabelOutOfRange, ShapeMismatch, TrainingDiverged,
 )
 
 

@@ -29,6 +29,10 @@ class EmptyDataset(ValueError):
     pass
 
 
+class TrainingDiverged(FloatingPointError):
+    """Training met a non-finite loss, or ended with non-finite weights."""
+
+
 class LabelOutOfRange(ValueError):
     pass
 
@@ -418,13 +422,20 @@ def train(
             logits, cache = _net_forward(weights, x[sel], want_cache=True)
             loss, dlogits = _xent_loss_and_grad(logits, y[sel])
             if not np.isfinite(loss):
-                raise FloatingPointError("training loss diverged")
+                raise TrainingDiverged("training loss diverged")
             grads = _net_backward(weights, dlogits.astype(np.float32), cache)
             for name in _TENSOR_ORDER:
                 v = velocity[name]
                 v *= config.momentum
                 v -= config.learning_rate * grads[name]
                 setattr(weights, name, getattr(weights, name) + v)
+    # Each step's loss is checked before its update; the weights the last
+    # update left are checked by their loss on the first batch's worth of
+    # items. Weights that are not finite, or overflow, give no finite loss.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = _xent_loss_and_grad(_net_forward(weights, x[: config.batch_size]), y[: config.batch_size])
+    if not np.isfinite(loss):
+        raise TrainingDiverged("training left weights with a non-finite loss")
     return weights
 
 

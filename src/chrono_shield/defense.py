@@ -34,6 +34,8 @@ class VotePolicy:
     def __post_init__(self):
         if self.min_history < 1:
             raise InvalidConfig(f"min_history must be >= 1, got {self.min_history}")
+        if not 0.0 < self.change_threshold <= 1.0:
+            raise InvalidConfig(f"change_threshold must be in (0, 1], got {self.change_threshold}")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,7 @@ class AttackRecord:
     # Carried for the defense stage; report.json leaves them out.
     adversarial_image: RasterImage | None = field(default=None, metadata={"report": False})
     shadow: ShadowSpec | None = field(default=None, metadata={"report": False})
+    defense: DefenseRecord | None = None  # set by run_defense_sweep
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,8 @@ class VoterRow:
 
 @dataclass
 class DefenseRecord:
-    image_id: int
-    true_label: int
-    attack_success: bool
-    no_defense_label: int
-    no_defense_ok: bool
+    """The vote on one attacked frame; its AttackRecord holds the rest."""
+
     voted_label: int
     voted_confidence: float
     defense_ok: bool
@@ -110,7 +108,6 @@ class DefenseRecord:
 class ExperimentReport:
     class_names: list[str]
     attack_rows: list[AttackRecord] = field(default_factory=list)
-    defense_rows: list[DefenseRecord] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def attack_success_rate(self) -> float | None:
@@ -120,16 +117,17 @@ class ExperimentReport:
 
     def defense_success_rate(self) -> float | None:
         """Defended-correct over successfully attacked images only."""
-        hit = [r for r in self.defense_rows if r.attack_success]
+        hit = [r.defense for r in self.attack_rows if r.success and r.defense is not None]
         if not hit:
             return None
-        return sum(r.defense_ok for r in hit) / len(hit)
+        return sum(d.defense_ok for d in hit) / len(hit)
 
     def baseline_defense_rate(self) -> float | None:
-        hit = [r for r in self.defense_rows if r.attack_success and r.baseline_ok is not None]
+        hit = [r.defense for r in self.attack_rows if r.success and r.defense is not None]
+        hit = [d for d in hit if d.baseline_ok is not None]
         if not hit:
             return None
-        return sum(bool(r.baseline_ok) for r in hit) / len(hit)
+        return sum(bool(d.baseline_ok) for d in hit) / len(hit)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +254,14 @@ def run_defense_sweep(
 
     history is any source with query(HistoryQuery); each sign is queried
     at the (lat, lon, heading) coords[image_id] it was archived under.
-    Produces the undefended, the baseline model's and the voted label per
-    row. The returned report carries attack_rows as well, so each defense
-    row has its attack row beside it; rows without an adversarial image
-    get no defense row.
+    Returns a report of copies of attack_rows, each with its defense set to
+    the voted and the baseline model's label; a row without an adversarial
+    image gets defense None. The rows passed in are left as they are.
     """
-    report = ExperimentReport(class_names=list(class_names or []), attack_rows=list(attack_rows))
-    for row in attack_rows:
+
+    def defend_row(row: AttackRecord) -> DefenseRecord | None:
         if row.adversarial_image is None:
-            continue
+            return None
         lat, lon, heading = coords[row.image_id]
         query = HistoryQuery(
             location=(lat, lon),
@@ -284,29 +281,21 @@ def run_defense_sweep(
             for v in verdict.votes
         )
         baseline_label = None
-        baseline_ok = None
         if baseline is not None:
-            bl = predict_batch(baseline, [row.adversarial_image])[0]
-            baseline_label = bl.label
-            baseline_ok = bl.label == row.true_label
-        report.defense_rows.append(
-            DefenseRecord(
-                image_id=row.image_id,
-                true_label=row.true_label,
-                attack_success=row.success,
-                no_defense_label=row.adv_label,
-                no_defense_ok=row.adv_label == row.true_label,
-                voted_label=verdict.voted_label,
-                voted_confidence=verdict.voted_confidence,
-                defense_ok=verdict.voted_label == row.true_label,
-                suspected_attack=verdict.suspected_attack,
-                warnings=tuple(w.name for w in verdict.warnings),
-                voters=voters,
-                baseline_label=baseline_label,
-                baseline_ok=baseline_ok,
-            )
+            baseline_label = predict_batch(baseline, [row.adversarial_image])[0].label
+        return DefenseRecord(
+            voted_label=verdict.voted_label,
+            voted_confidence=verdict.voted_confidence,
+            defense_ok=verdict.voted_label == row.true_label,
+            suspected_attack=verdict.suspected_attack,
+            warnings=tuple(w.name for w in verdict.warnings),
+            voters=voters,
+            baseline_label=baseline_label,
+            baseline_ok=None if baseline_label is None else baseline_label == row.true_label,
         )
-    return report
+
+    rows = [dataclasses.replace(row, defense=defend_row(row)) for row in attack_rows]
+    return ExperimentReport(class_names=list(class_names or []), attack_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +310,6 @@ def _yesno(x: bool | None) -> str:
     return "" if x is None else ("yes" if x else "no")
 
 
-_CSV_HEADER = [
-    "image_id",
-    "true",
-    "clean",
-    "clean_conf",
-    "adv",
-    "adv_conf",
-    "attack_success",
-    "iterations",
-    "mask_note",
-    "no_defense_ok",
-    "baseline",
-    "baseline_ok",
-    "voted",
-    "voted_conf",
-    "defense_ok",
-    "suspected_attack",
-    "warnings",
-    "voters",
-]
-
-
 def _by_id(rows: list) -> list:
     return sorted(rows, key=lambda r: r.image_id)
 
@@ -355,36 +322,37 @@ def _rates(report: ExperimentReport) -> dict[str, float | None]:
     }
 
 
-def _csv_row(a: AttackRecord, d: DefenseRecord | None, name) -> dict:
-    """One report.csv row: the attack columns, then the defense columns if
-    the image was defended; the writer leaves absent columns empty."""
-    row = dict(
-        image_id=a.image_id,
-        true=name(a.true_label),
-        clean=name(a.clean_label),
-        clean_conf=_pct(a.clean_confidence),
-        adv=name(a.adv_label),
-        adv_conf=_pct(a.adv_confidence),
-        attack_success=_yesno(a.success),
-        iterations=a.iterations,
-        mask_note=a.mask_note,
-    )
-    if d is not None:
-        row.update(
-            no_defense_ok=_yesno(d.no_defense_ok),
-            baseline="" if d.baseline_label is None else name(d.baseline_label),
-            baseline_ok=_yesno(d.baseline_ok),
-            voted=name(d.voted_label),
-            voted_conf=_pct(d.voted_confidence),
-            defense_ok=_yesno(d.defense_ok),
-            suspected_attack=_yesno(d.suspected_attack),
-            warnings="|".join(d.warnings),
-            voters="|".join(
-                f"{v.source}:{v.capture_date}:{name(v.label)}:{_pct(v.confidence)}"
-                for v in d.voters
-            ),
-        )
-    return row
+def _voters(d: DefenseRecord, name) -> str:
+    return "|".join(f"{v.source}:{v.capture_date}:{name(v.label)}:{_pct(v.confidence)}" for v in d.voters)
+
+
+# report.csv's columns in order, each (header, cell of attack row a and its
+# defense d, with name mapping a label to its class name): the attack
+# columns, then the defense columns, which are empty for a row that was
+# not defended.
+_ATTACK_COLUMNS = (
+    ("image_id", lambda a, d, name: a.image_id),
+    ("true", lambda a, d, name: name(a.true_label)),
+    ("clean", lambda a, d, name: name(a.clean_label)),
+    ("clean_conf", lambda a, d, name: _pct(a.clean_confidence)),
+    ("adv", lambda a, d, name: name(a.adv_label)),
+    ("adv_conf", lambda a, d, name: _pct(a.adv_confidence)),
+    ("attack_success", lambda a, d, name: _yesno(a.success)),
+    ("iterations", lambda a, d, name: a.iterations),
+    ("mask_note", lambda a, d, name: a.mask_note),
+)
+_CSV_COLUMNS = _ATTACK_COLUMNS + (
+    ("no_defense_ok", lambda a, d, name: _yesno(a.adv_label == a.true_label)),
+    ("baseline", lambda a, d, name: "" if d.baseline_label is None else name(d.baseline_label)),
+    ("baseline_ok", lambda a, d, name: _yesno(d.baseline_ok)),
+    ("voted", lambda a, d, name: name(d.voted_label)),
+    ("voted_conf", lambda a, d, name: _pct(d.voted_confidence)),
+    ("defense_ok", lambda a, d, name: _yesno(d.defense_ok)),
+    ("suspected_attack", lambda a, d, name: _yesno(d.suspected_attack)),
+    ("warnings", lambda a, d, name: "|".join(d.warnings)),
+    ("voters", lambda a, d, name: _voters(d, name)),
+)
+_CSV_HEADER = [header for header, _ in _CSV_COLUMNS]
 
 
 def _emit_csv(report: ExperimentReport) -> bytes:
@@ -394,9 +362,9 @@ def _emit_csv(report: ExperimentReport) -> bytes:
     writer = _csv.DictWriter(buf, fieldnames=_CSV_HEADER, restval="", lineterminator="\n")
     writer.writeheader()
     name = partial(class_name, class_names=report.class_names)
-    defense = {r.image_id: r for r in report.defense_rows}
     for a in _by_id(report.attack_rows):
-        writer.writerow(_csv_row(a, defense.get(a.image_id), name))
+        columns = _CSV_COLUMNS if a.defense is not None else _ATTACK_COLUMNS
+        writer.writerow({header: cell(a, a.defense, name) for header, cell in columns})
     return buf.getvalue().encode("utf-8")
 
 
@@ -420,7 +388,6 @@ def _emit_json(report: ExperimentReport) -> bytes:
     doc = {
         "class_names": report.class_names,
         "attack_rows": [_to_json(r) for r in _by_id(report.attack_rows)],
-        "defense_rows": [_to_json(r) for r in _by_id(report.defense_rows)],
         "aggregates": _rates(report),
         "meta": report.meta,
     }
@@ -442,24 +409,26 @@ def _emit_text(report: ExperimentReport) -> bytes:
             )
         lines.append(f"attack success rate: {_pct(report.attack_success_rate())}%")
         lines.append("")
-    if report.defense_rows:
-        lines.append(f"Defense sweep ({len(report.defense_rows)} images)")
+    defended = [r for r in _by_id(report.attack_rows) if r.defense is not None]
+    if defended:
+        lines.append(f"Defense sweep ({len(defended)} images)")
         lines.append(
             f"{'id':>4}  {'true':<20} {'no defense':<12} {'baseline':<12} "
             f"{'voted':<28} {'ok':<4} flags"
         )
-        for r in _by_id(report.defense_rows):
+        for r in defended:
+            d = r.defense
             flags = []
-            if r.suspected_attack:
+            if d.suspected_attack:
                 flags.append("suspected-attack")
-            flags.extend(r.warnings)
-            voted = f"{name(r.voted_label)} ({_pct(r.voted_confidence)}%)"
+            flags.extend(d.warnings)
+            voted = f"{name(d.voted_label)} ({_pct(d.voted_confidence)}%)"
             lines.append(
-                f"{r.image_id:>4}  {name(r.true_label):<20} {_yesno(r.no_defense_ok):<12} "
-                f"{_yesno(r.baseline_ok):<12} {voted:<28} {_yesno(r.defense_ok):<4} "
+                f"{r.image_id:>4}  {name(r.true_label):<20} {_yesno(r.adv_label == r.true_label):<12} "
+                f"{_yesno(d.baseline_ok):<12} {voted:<28} {_yesno(d.defense_ok):<4} "
                 f"{','.join(flags)}"
             )
-            for v in r.voters:
+            for v in d.voters:
                 when = v.capture_date or "current"
                 lines.append(
                     f"      voter {v.source:<8} {when:<12} {name(v.label):<20} "
@@ -477,13 +446,9 @@ _EMITTERS = {"text-table": _emit_text, "csv": _emit_csv, "json": _emit_json}
 
 
 def emit_report(report: ExperimentReport, format: str = "text-table") -> bytes:
-    """The report as bytes in one of the formats; every defense row must
-    have the attack row of its image beside it."""
+    """The report as bytes in one of the formats."""
     if format not in _EMITTERS:
         raise ValueError(f"unknown report format {format!r}")
-    orphans = {r.image_id for r in report.defense_rows} - {r.image_id for r in report.attack_rows}
-    if orphans:
-        raise ValueError(f"defense rows without an attack row: image ids {sorted(orphans)}")
     return _EMITTERS[format](report)
 
 

@@ -78,10 +78,10 @@ def test_acceptance_1_defense_protocol(full_run):
     # correct, the 3-vs-1 vote must recover the true label. Exactly.
     eligible = [
         r
-        for r in report.defense_rows
-        if r.attack_success and all(v.label == r.true_label for v in r.voters[1:])
+        for r in report.attack_rows
+        if r.success and r.defense is not None and all(v.label == r.true_label for v in r.defense.voters[1:])
     ]
-    recovered = sum(r.defense_ok for r in eligible)
+    recovered = sum(r.defense.defense_ok for r in eligible)
     ok = (
         attacked >= 50
         and rate is not None
@@ -175,9 +175,8 @@ def test_acceptance_6_optimizer_vs_grid():
             c = _snap64(u)
             return x0 + c[..., 0] * (x1 - x0), y0 + c[..., 1] * (y1 - y0)
 
-        def objective(u: np.ndarray) -> float:
-            x, y = to_domain(u)
-            return float(f(x, y))
+        def objective(u: np.ndarray) -> np.ndarray:
+            return f(*to_domain(u))
 
         # Independent route: exhaustive evaluation of every grid cell.
         centers = (np.arange(64) + 0.5) / 64.0

@@ -254,8 +254,8 @@ def test_shadow_batch_keeps_the_degenerate_area_rule():
 # PSO
 
 
-def sphere(x: np.ndarray) -> float:
-    return float(((x - 0.5) ** 2).sum())
+def sphere(x: np.ndarray) -> np.ndarray:
+    return ((x - 0.5) ** 2).sum(axis=-1)
 
 
 class TestPso:
@@ -290,19 +290,11 @@ class TestPso:
 
         def spy(x):
             calls.append(x.copy())
-            return float((x**2).sum())
+            return (x**2).sum(axis=1)
 
         pso_minimize(spy, 5, PsoConfig(swarm=6, iterations=30, seed=1))
         stacked = np.stack(calls)
         assert stacked.min() >= 0.0 and stacked.max() <= 1.0
-
-    def test_vector_objective_equivalent(self):
-        scalar = pso_minimize(sphere, 3, PsoConfig(swarm=7, iterations=15, seed=4))
-        vec = pso_minimize(
-            None, 3, PsoConfig(swarm=7, iterations=15, seed=4),
-            vector_objective=lambda xs: ((xs - 0.5) ** 2).sum(axis=1),
-        )
-        assert np.array_equal(scalar[0], vec[0]) and scalar[1] == vec[1]
 
     def test_invalid_config(self):
         for kwargs in [dict(swarm=0), dict(iterations=0)]:
@@ -323,7 +315,7 @@ class TestPso:
         shift = rng.random(3)
 
         def f(x):
-            return float(np.abs(x - shift).sum())
+            return np.abs(x - shift).sum(axis=1)
 
         _, _, trace = pso_minimize(f, 3, PsoConfig(swarm=5, iterations=15, seed=seed))
         assert all(a >= b for a, b in zip(trace, trace[1:]))

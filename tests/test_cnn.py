@@ -1,8 +1,12 @@
 """Classifier forward/backward, training, gradient check, serialization."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from chrono_shield.cnn import (
     ModelWeights,
     ShapeMismatch,
     TrainConfig,
+    TrainingDiverged,
     VersionUnsupported,
     _softmax,
     evaluate,
@@ -268,6 +273,25 @@ class TestSoftmax:
 
 
 class TestTraining:
+    def test_last_step_divergence_is_refused(self):
+        # One step, whose loss is the init weights' loss: only the check
+        # after the loop sees the weights near 1e30 that its update leaves.
+        ds = toy_brightness_dataset()
+        n = len(ds.split("train"))
+        with pytest.raises(TrainingDiverged, match="non-finite loss"):
+            train(ds, TrainConfig(epochs=1, batch_size=n, learning_rate=1e30, seed=0), TINY)
+        assert issubclass(TrainingDiverged, FloatingPointError)
+
+    def test_non_finite_weights_are_refused(self, monkeypatch):
+        real_backward = cnn_module._net_backward
+        monkeypatch.setattr(
+            cnn_module, "_net_backward", lambda *args: {k: g + np.inf for k, g in real_backward(*args).items()}
+        )
+        ds = toy_brightness_dataset()
+        n = len(ds.split("train"))
+        with pytest.raises(TrainingDiverged, match="non-finite loss"):
+            train(ds, TrainConfig(epochs=1, batch_size=n, seed=0), TINY)
+
     def test_toy_set_trains_to_high_accuracy(self):
         ds = toy_brightness_dataset()
         w = train(ds, TrainConfig(epochs=8, batch_size=8, seed=0), TINY)
@@ -414,6 +438,17 @@ class TestGradCheck:
         w.fc_b = b
         err_scale = grad_check(w, (flat_image(128, 8, 8), 1), epsilon=1e-4, max_params=100, seed=0)
         assert err_scale <= 1e-3
+
+    def test_check_gradients_script_passes(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "check_gradients.py"), "--params", "20"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "OK"
+        assert "over 20 sampled parameters" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

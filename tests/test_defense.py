@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chrono_shield.cnn import ModelConfig, init_weights
+from chrono_shield.configfile import InvalidConfig
 from chrono_shield.defense import (
     DefenseWarning,
     Verdict,
@@ -74,6 +75,12 @@ class TestWorkedExamples:
 
 
 class TestEdgesAndWarnings:
+    def test_change_threshold_outside_unit_interval_refused(self):
+        for bad in (1.5, float("nan"), 0.0, -1.0):
+            with pytest.raises(InvalidConfig, match="change_threshold"):
+                VotePolicy(change_threshold=bad)
+        assert VotePolicy(change_threshold=1.0).change_threshold == 1.0
+
     def test_empty_history_falls_back_to_current(self):
         current = mk_pred(7, 0.6)
         v = majority_vote(current, [])

@@ -325,13 +325,8 @@ def attack_row(image_id=0, success=False, **kw):
     return AttackRecord(**base)
 
 
-def defense_row(image_id=0, attack_success=True, defense_ok=True, baseline_ok=None):
+def defense_row(defense_ok=True, baseline_ok=None):
     return DefenseRecord(
-        image_id=image_id,
-        true_label=0,
-        attack_success=attack_success,
-        no_defense_label=1,
-        no_defense_ok=False,
         voted_label=0 if defense_ok else 1,
         voted_confidence=0.8,
         defense_ok=defense_ok,
@@ -350,12 +345,11 @@ class TestReportAggregates:
 
     def test_handcrafted_rates(self):
         r = ExperimentReport(class_names=list(CLASS_NAMES))
-        r.attack_rows = [attack_row(0, True), attack_row(1, True), attack_row(2, False)]
-        r.defense_rows = [
-            defense_row(0, attack_success=True, defense_ok=True, baseline_ok=True),
-            defense_row(1, attack_success=True, defense_ok=False, baseline_ok=False),
+        r.attack_rows = [
+            attack_row(0, True, defense=defense_row(defense_ok=True, baseline_ok=True)),
+            attack_row(1, True, defense=defense_row(defense_ok=False, baseline_ok=False)),
             # Failed attack: excluded from both defended rates.
-            defense_row(2, attack_success=False, defense_ok=True, baseline_ok=True),
+            attack_row(2, False, defense=defense_row(defense_ok=True, baseline_ok=True)),
         ]
         assert r.attack_success_rate() == pytest.approx(2 / 3)
         assert r.defense_success_rate() == pytest.approx(1 / 2)
@@ -365,8 +359,7 @@ class TestReportAggregates:
 class TestEmitReport:
     def sample(self):
         r = ExperimentReport(class_names=list(CLASS_NAMES))
-        r.attack_rows = [attack_row(0, True), attack_row(1, False)]
-        r.defense_rows = [defense_row(0, attack_success=True, defense_ok=True)]
+        r.attack_rows = [attack_row(0, True, defense=defense_row(defense_ok=True)), attack_row(1, False)]
         r.meta = {"seed": 0}
         return r
 
@@ -395,11 +388,12 @@ class TestEmitReport:
         for fmt in ("text-table", "csv", "json"):
             assert emit_report(self.sample(), fmt) == emit_report(self.sample(), fmt)
 
-    # SHA-256 of emit_report(sample()) as the hand-listed emitters wrote it;
+    # SHA-256 of emit_report(sample()): csv and text-table as the hand-listed
+    # emitters wrote them, json with each defense nested in its attack row;
     # a change to these bytes must be a deliberate one.
     GOLDEN = {
         "csv": "10ef1dd29580b8eb9559be40de3e8648f6c6b9a33be00a143bd5abee6cf530bb",
-        "json": "a16d3433c51c493e2fd8deff27f790d0e05283a7225cead8bcd5920352477b71",
+        "json": "6aeaacee4da64da3d91866887869c06d86c1737682a7ae2295bac2261ba9f949",
         "text-table": "eb05f37514f70845ac2b9be0a0c1a9e1e94eda4f07503b2aeb897be939a7bd0d",
     }
 
@@ -413,15 +407,11 @@ class TestEmitReport:
         attack_keys = {f.name for f in dataclasses.fields(AttackRecord)} - carried
         assert all(set(row) == attack_keys for row in doc["attack_rows"])
         defense_keys = {f.name for f in dataclasses.fields(DefenseRecord)}
-        assert all(set(row) == defense_keys for row in doc["defense_rows"])
-        assert doc["defense_rows"][0]["voters"] == [] and doc["defense_rows"][0]["warnings"] == []
-
-    def test_orphan_defense_row_rejected(self):
-        r = self.sample()
-        r.defense_rows.append(defense_row(7))
-        for fmt in ("csv", "json", "text-table"):
-            with pytest.raises(ValueError, match="image ids \\[7\\]"):
-                emit_report(r, fmt)
+        assert all(row["defense"] is None or set(row["defense"]) == defense_keys for row in doc["attack_rows"])
+        defended, held = doc["attack_rows"]
+        assert set(defended["defense"]) == defense_keys and held["defense"] is None
+        assert defended["defense"]["voters"] == [] and defended["defense"]["warnings"] == []
+        assert set(doc) == {"class_names", "attack_rows", "aggregates", "meta"}
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -430,21 +420,19 @@ class TestEmitReport:
     def test_label_past_the_names_reads_class_n(self):
         # A model may have more outputs than the corpus has names.
         r = ExperimentReport(class_names=["stop", "yield"])
-        r.attack_rows = [attack_row(0, True, adv_label=19)]
-        r.defense_rows = [
-            dataclasses.replace(
-                defense_row(0, defense_ok=False, baseline_ok=False),
-                no_defense_label=19, voted_label=19, baseline_label=19,
-                voters=(VoterRow(source="current", capture_date="", label=19, confidence=0.7),),
-            )
-        ]
+        defense = dataclasses.replace(
+            defense_row(defense_ok=False, baseline_ok=False),
+            voted_label=19, baseline_label=19,
+            voters=(VoterRow(source="current", capture_date="", label=19, confidence=0.7),),
+        )
+        r.attack_rows = [attack_row(0, True, adv_label=19, defense=defense)]
         lines = [line for line in emit_report(r, "csv").decode().splitlines() if not line.startswith("#")]
         row = next(csv.DictReader(lines))
         assert (row["true"], row["adv"], row["baseline"], row["voted"]) == ("stop", "class_19", "class_19", "class_19")
         assert row["voters"] == "current::class_19:70.00"
         assert emit_report(r, "text-table").decode().count("class_19") == 3  # adversarial, voted, voter
         doc = json.loads(emit_report(r, "json"))
-        assert doc["attack_rows"][0]["adv_label"] == 19 and doc["defense_rows"][0]["voters"][0]["label"] == 19
+        assert doc["attack_rows"][0]["adv_label"] == 19 and doc["attack_rows"][0]["defense"]["voters"][0]["label"] == 19
         # With no names at all, every label reads class_<n>.
         assert b"class_0,class_0" in emit_report(ExperimentReport(class_names=[], attack_rows=[attack_row(0)]), "csv")
 
@@ -497,34 +485,39 @@ class TestDefenseSweep:
             attack_row(1, success=True, true_label=5, clean_label=5,
                        adversarial_image=None),  # skipped: image not carried
         ]
+        before = [dataclasses.replace(r) for r in rows]
         weights = zeroed(ModelConfig(input_side=16, channels=(4, 4, 4), num_classes=16))
         report = run_defense_sweep(
             weights, rows, LocalArchive(tmp_path), coords=coords, baseline=weights,
             class_names=list(CLASS_NAMES),
         )
-        assert len(report.defense_rows) == 1
-        row = report.defense_rows[0]
+        assert len(report.attack_rows) == 2
+        row, skipped = report.attack_rows
         assert row.image_id == 0 and row.true_label == 5
-        assert row.attack_success
-        assert not row.no_defense_ok  # adv_label 1 != true 5
-        assert len(row.voters) == 4
-        assert row.voters[0].source == "current" and row.voters[0].capture_date == ""
-        assert all(v.source == "archive" for v in row.voters[1:])
-        assert [v.capture_date for v in row.voters[1:]] == [
+        assert row.success
+        assert skipped.defense is None
+        d = row.defense
+        assert len(d.voters) == 4
+        assert d.voters[0].source == "current" and d.voters[0].capture_date == ""
+        assert all(v.source == "archive" for v in d.voters[1:])
+        assert [v.capture_date for v in d.voters[1:]] == [
             "2020-11-21", "2019-07-03", "2016-10-12"
         ]
         # Zero weights vote class 0 everywhere: wiring, not accuracy.
-        assert row.voted_label == 0 and not row.defense_ok
-        assert row.baseline_label == 0 and row.baseline_ok is False
-        # The report joins both stages: each image's attack columns, and the
-        # defense columns where it was defended.
-        assert report.attack_rows == rows
+        assert d.voted_label == 0 and not d.defense_ok
+        assert d.baseline_label == 0 and d.baseline_ok is False
+        # One row per image: its attack columns, and the defense columns
+        # where it was defended. The rows passed in are left as they were.
+        assert rows == before and all(r.defense is None for r in rows)
+        assert [dataclasses.replace(r, defense=None) for r in report.attack_rows] == rows
         lines = emit_report(report, "csv").decode().splitlines()[3:]
         table = list(csv.DictReader(lines))
         assert [(t["clean"], t["iterations"], t["attack_success"]) for t in table] == [
             ("curve_left", "3", "yes"), ("curve_left", "3", "yes")
         ]
-        assert table[0]["voted"] == "stop" and table[1]["voted"] == ""
+        assert table[0]["voted"] == "stop" and table[0]["no_defense_ok"] == "no"  # adv_label 1 != true 5
+        defense_columns = harness._CSV_HEADER[harness._CSV_HEADER.index("no_defense_ok"):]
+        assert len(defense_columns) == 9 and all(table[1][c] == "" for c in defense_columns)
 
     def test_manifest_read_once_per_sweep(self, tmp_path, rng, monkeypatch):
         labels = [5, 2, 9]
@@ -550,7 +543,8 @@ class TestDefenseSweep:
         report = run_defense_sweep(
             zeroed(TINY_MODEL), rows, LocalArchive(tmp_path), coords=coords, class_names=list(CLASS_NAMES)
         )
-        assert len(report.defense_rows) == len(labels)
+        assert len(report.attack_rows) == len(labels)
+        assert all(r.defense is not None for r in report.attack_rows)
         assert len(loads) == 1
         for (lat, lon, heading), records in zip(coords, seen):
             query = HistoryQuery(location=(lat, lon), heading=heading, max_records=3, before=QUERY_DATE)
@@ -934,6 +928,18 @@ class TestCli:
         assert (rc, calls) == (2, [])
         assert capsys.readouterr().err == "bad input: swarm and iterations must be positive, got 0, 2\n"
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--max-images", "1"]], ids=["train", "sweep"])
+    def test_diverging_training_exits_2_and_writes_no_weights(self, cli_workspace, tmp_path, capsys, command):
+        # At this rate the first update leaves weights near 1e30, whose
+        # forward pass overflows float32.
+        _, tiny_cfg, _ = cli_workspace
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(tiny_cfg.read_text() + "train.learning_rate = 1e30\n")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), *command])
+        assert rc == 2
+        assert capsys.readouterr().err == "bad input: training left weights with a non-finite loss\n"
+        assert list(tmp_path.rglob("*.csw")) == []
+
     # Every field of every stage config, each to be set to -1 and to 0.
     STAGE_KEYS = [f"{stage}.{f.name}" for stage, config in harness.STAGES.items() for f in dataclasses.fields(config)]
     # The settings among those that a stage config refuses as it is built.
@@ -941,6 +947,7 @@ class TestCli:
         "synth.seed = -1", "train.seed = -1", "attack.seed = -1", "train.epochs = -1",
         "model.input_side = -1", "model.input_side = 0", "model.num_classes = -1", "model.num_classes = 0",
         "match.radius_m = -1", "match.heading_tol_deg = -1",
+        "vote.change_threshold = -1", "vote.change_threshold = 0",
         *(f"mask.{name} = {value}" for name in ("sigma", "blur_radius", "low", "high", "dilate_k", "close_k")
           for value in (-1, 0)),
     }
