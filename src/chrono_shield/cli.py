@@ -180,13 +180,24 @@ def _history_query(args, max_records: int) -> HistoryQuery:
 
 def _out_file(out: str, default_name: str, exts=_IMAGE_EXTS) -> str:
     """--out as a file when it has a matching extension, else a directory."""
-    if out.endswith(exts):
+    if out.lower().endswith(exts):
         parent = os.path.dirname(out)
         if parent:
             os.makedirs(parent, exist_ok=True)
         return out
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, default_name)
+
+
+def _start_server(args) -> HistoryFixtureServer:
+    try:
+        server = HistoryFixtureServer(args.root, host=args.host, port=args.port)
+    except ManifestMissing:  # an OSError, but of --root, not of the socket
+        raise
+    except (OSError, OverflowError) as exc:
+        raise BadInput(f"cannot serve on {args.host}:{args.port}: {exc}") from exc
+    server.start()
+    return server
 
 
 def _cmd_synth(args) -> int:
@@ -259,6 +270,8 @@ def _cmd_defend(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.max_images is not None and args.max_images < 0:
+        raise BadInput(f"--max-images must be >= 0, got {args.max_images}")
     report = run_full_sweep(args.out, _configs(args), args.max_images)
     sys.stdout.write(emit_report(report, "text-table").decode("utf-8"))
     print(f"reports under {args.out}: report.csv report.json report.txt")
@@ -268,8 +281,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_serve_fixture(args) -> int:
     import time
 
-    server = HistoryFixtureServer(args.root, host=args.host, port=args.port)
-    server.start()
+    server = _start_server(args)
     print(f"serving {args.root} at {server.url} (ctrl-c to stop)")
     try:
         while True:
@@ -292,13 +304,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = _build_parser().parse_args(argv)
+    # Progress lines go to the stderr of this call, so that a refusal is
+    # the last stderr line, in a shell and under a test's capture alike.
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

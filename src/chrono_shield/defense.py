@@ -41,7 +41,8 @@ class VotePolicy:
 @dataclass(frozen=True)
 class Vote:
     source: str  # "current", "archive", "remote", "history"
-    prediction: Prediction
+    label: int
+    confidence: float
     capture_date: date | None = None
 
 
@@ -69,17 +70,14 @@ def majority_vote(
         history_meta = [("history", None)] * len(history)
     if len(history_meta) != len(history):
         raise ValueError("history_meta length differs from history")
-    votes = [Vote(source="current", prediction=current)]
-    votes += [
-        Vote(source=src, prediction=pred, capture_date=when)
-        for pred, (src, when) in zip(history, history_meta)
-    ]
+    votes = [Vote("current", current.label, current.confidence)]
+    votes += [Vote(src, pred.label, pred.confidence, when) for pred, (src, when) in zip(history, history_meta)]
 
     counts: dict[int, int] = {}
     conf_sum: dict[int, float] = {}
     for v in votes:
-        counts[v.prediction.label] = counts.get(v.prediction.label, 0) + 1
-        conf_sum[v.prediction.label] = conf_sum.get(v.prediction.label, 0.0) + v.prediction.confidence
+        counts[v.label] = counts.get(v.label, 0) + 1
+        conf_sum[v.label] = conf_sum.get(v.label, 0.0) + v.confidence
     top = max(counts.values())
     tied = sorted(label for label, c in counts.items() if c == top)
 
@@ -105,7 +103,7 @@ def majority_vote(
             # may have been replaced rather than attacked.
             warnings.append(DefenseWarning.CONFIGURATION_CHANGE)
 
-    agreeing = [v.prediction.confidence for v in votes if v.prediction.label == voted]
+    agreeing = [v.confidence for v in votes if v.label == voted]
     return Verdict(
         voted_label=voted,
         voted_confidence=float(np.mean(agreeing)),
@@ -140,7 +138,7 @@ def format_verdict(verdict: Verdict, class_names: list[str] | None = None) -> st
     lines.append(f"{'voter':<10} {'date':<12} {'label':<20} {'conf':>6}")
     for v in verdict.votes:
         when = v.capture_date.isoformat() if v.capture_date else "-"
-        lines.append(f"{v.source:<10} {when:<12} {class_name(v.prediction.label, class_names):<20} {v.prediction.confidence*100:6.2f}")
+        lines.append(f"{v.source:<10} {when:<12} {class_name(v.label, class_names):<20} {v.confidence*100:6.2f}")
     lines.append(
         f"verdict: {class_name(verdict.voted_label, class_names)} ({verdict.voted_confidence*100:.2f}%)"
         f" suspected_attack={'yes' if verdict.suspected_attack else 'no'}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv as _csv
 import dataclasses
+import enum
 import io
 import json
 import logging
@@ -38,7 +39,7 @@ from .cnn import (
     train,
 )
 from .dataset import LabeledImageSet
-from .defense import VotePolicy, class_name, defend
+from .defense import Verdict, VotePolicy, class_name, defend
 from .history import HistoryQuery, LocalArchive, MatchPolicy
 from .masks import BinaryMask, MaskParams, NoContourFound, generate_mask
 from .parallel import map_in_order
@@ -79,29 +80,18 @@ class AttackRecord:
     # Carried for the defense stage; report.json leaves them out.
     adversarial_image: RasterImage | None = field(default=None, metadata={"report": False})
     shadow: ShadowSpec | None = field(default=None, metadata={"report": False})
-    defense: DefenseRecord | None = None  # set by run_defense_sweep
-
-
-@dataclass(frozen=True)
-class VoterRow:
-    source: str
-    capture_date: str  # ISO date or "" for the current frame
-    label: int
-    confidence: float
-
-
-@dataclass
-class DefenseRecord:
-    """The vote on one attacked frame; its AttackRecord holds the rest."""
-
-    voted_label: int
-    voted_confidence: float
-    defense_ok: bool
-    suspected_attack: bool
-    warnings: tuple[str, ...] = ()
-    voters: tuple[VoterRow, ...] = ()
+    # Set by run_defense_sweep: the vote on the adversarial image, and the
+    # adversarially trained baseline's label for it.
+    defense: Verdict | None = None
     baseline_label: int | None = None
-    baseline_ok: bool | None = None
+
+
+def _share(flags: list[bool]) -> float | None:
+    return sum(flags) / len(flags) if flags else None
+
+
+def _baseline_ok(a: AttackRecord) -> bool | None:
+    return None if a.baseline_label is None else a.baseline_label == a.true_label
 
 
 @dataclass
@@ -110,24 +100,18 @@ class ExperimentReport:
     attack_rows: list[AttackRecord] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
+    def _defended_hits(self) -> list[AttackRecord]:
+        return [r for r in self.attack_rows if r.success and r.defense is not None]
+
     def attack_success_rate(self) -> float | None:
-        if not self.attack_rows:
-            return None
-        return sum(r.success for r in self.attack_rows) / len(self.attack_rows)
+        return _share([r.success for r in self.attack_rows])
 
     def defense_success_rate(self) -> float | None:
         """Defended-correct over successfully attacked images only."""
-        hit = [r.defense for r in self.attack_rows if r.success and r.defense is not None]
-        if not hit:
-            return None
-        return sum(d.defense_ok for d in hit) / len(hit)
+        return _share([r.defense.voted_label == r.true_label for r in self._defended_hits()])
 
     def baseline_defense_rate(self) -> float | None:
-        hit = [r.defense for r in self.attack_rows if r.success and r.defense is not None]
-        hit = [d for d in hit if d.baseline_ok is not None]
-        if not hit:
-            return None
-        return sum(bool(d.baseline_ok) for d in hit) / len(hit)
+        return _share([_baseline_ok(r) for r in self._defended_hits() if r.baseline_label is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -255,46 +239,21 @@ def run_defense_sweep(
     history is any source with query(HistoryQuery); each sign is queried
     at the (lat, lon, heading) coords[image_id] it was archived under.
     Returns a report of copies of attack_rows, each with its defense set to
-    the voted and the baseline model's label; a row without an adversarial
-    image gets defense None. The rows passed in are left as they are.
+    the Verdict and its baseline_label to the baseline model's label; a row
+    without an adversarial image keeps both None. The rows passed in are
+    left as they are.
     """
 
-    def defend_row(row: AttackRecord) -> DefenseRecord | None:
+    def defend_row(row: AttackRecord) -> AttackRecord:
         if row.adversarial_image is None:
-            return None
+            return dataclasses.replace(row)
         lat, lon, heading = coords[row.image_id]
-        query = HistoryQuery(
-            location=(lat, lon),
-            heading=heading,
-            max_records=policy.min_history,
-            before=QUERY_DATE,
-        )
-        records = history.query(query)
-        verdict = defend(row.adversarial_image, records, weights, policy)
-        voters = tuple(
-            VoterRow(
-                source=v.source,
-                capture_date=v.capture_date.isoformat() if v.capture_date else "",
-                label=v.prediction.label,
-                confidence=v.prediction.confidence,
-            )
-            for v in verdict.votes
-        )
-        baseline_label = None
-        if baseline is not None:
-            baseline_label = predict_batch(baseline, [row.adversarial_image])[0].label
-        return DefenseRecord(
-            voted_label=verdict.voted_label,
-            voted_confidence=verdict.voted_confidence,
-            defense_ok=verdict.voted_label == row.true_label,
-            suspected_attack=verdict.suspected_attack,
-            warnings=tuple(w.name for w in verdict.warnings),
-            voters=voters,
-            baseline_label=baseline_label,
-            baseline_ok=None if baseline_label is None else baseline_label == row.true_label,
-        )
+        query = HistoryQuery(location=(lat, lon), heading=heading, max_records=policy.min_history, before=QUERY_DATE)
+        verdict = defend(row.adversarial_image, history.query(query), weights, policy)
+        baseline_label = None if baseline is None else predict_batch(baseline, [row.adversarial_image])[0].label
+        return dataclasses.replace(row, defense=verdict, baseline_label=baseline_label)
 
-    rows = [dataclasses.replace(row, defense=defend_row(row)) for row in attack_rows]
+    rows = [defend_row(row) for row in attack_rows]
     return ExperimentReport(class_names=list(class_names or []), attack_rows=rows)
 
 
@@ -322,8 +281,12 @@ def _rates(report: ExperimentReport) -> dict[str, float | None]:
     }
 
 
-def _voters(d: DefenseRecord, name) -> str:
-    return "|".join(f"{v.source}:{v.capture_date}:{name(v.label)}:{_pct(v.confidence)}" for v in d.voters)
+def _iso(when: date | None) -> str:
+    return when.isoformat() if when else ""
+
+
+def _voters(d: Verdict, name) -> str:
+    return "|".join(f"{v.source}:{_iso(v.capture_date)}:{name(v.label)}:{_pct(v.confidence)}" for v in d.votes)
 
 
 # report.csv's columns in order, each (header, cell of attack row a and its
@@ -343,13 +306,13 @@ _ATTACK_COLUMNS = (
 )
 _CSV_COLUMNS = _ATTACK_COLUMNS + (
     ("no_defense_ok", lambda a, d, name: _yesno(a.adv_label == a.true_label)),
-    ("baseline", lambda a, d, name: "" if d.baseline_label is None else name(d.baseline_label)),
-    ("baseline_ok", lambda a, d, name: _yesno(d.baseline_ok)),
+    ("baseline", lambda a, d, name: "" if a.baseline_label is None else name(a.baseline_label)),
+    ("baseline_ok", lambda a, d, name: _yesno(_baseline_ok(a))),
     ("voted", lambda a, d, name: name(d.voted_label)),
     ("voted_conf", lambda a, d, name: _pct(d.voted_confidence)),
-    ("defense_ok", lambda a, d, name: _yesno(d.defense_ok)),
+    ("defense_ok", lambda a, d, name: _yesno(d.voted_label == a.true_label)),
     ("suspected_attack", lambda a, d, name: _yesno(d.suspected_attack)),
-    ("warnings", lambda a, d, name: "|".join(d.warnings)),
+    ("warnings", lambda a, d, name: "|".join(w.name for w in d.warnings)),
     ("voters", lambda a, d, name: _voters(d, name)),
 )
 _CSV_HEADER = [header for header, _ in _CSV_COLUMNS]
@@ -370,7 +333,8 @@ def _emit_csv(report: ExperimentReport) -> bytes:
 
 def _to_json(value):
     """A record as JSON data, walked from its dataclass fields: fields marked
-    report=False are left out, floats round to 6 places, tuples become lists."""
+    report=False are left out, floats round to 6 places, tuples become lists,
+    a date its ISO string and an Enum its name."""
     if dataclasses.is_dataclass(value):
         return {
             f.name: _to_json(getattr(value, f.name))
@@ -381,6 +345,10 @@ def _to_json(value):
         return [_to_json(v) for v in value]
     if isinstance(value, float):
         return round(value, 6)
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, enum.Enum):
+        return value.name
     return value
 
 
@@ -421,15 +389,15 @@ def _emit_text(report: ExperimentReport) -> bytes:
             flags = []
             if d.suspected_attack:
                 flags.append("suspected-attack")
-            flags.extend(d.warnings)
+            flags.extend(w.name for w in d.warnings)
             voted = f"{name(d.voted_label)} ({_pct(d.voted_confidence)}%)"
             lines.append(
                 f"{r.image_id:>4}  {name(r.true_label):<20} {_yesno(r.adv_label == r.true_label):<12} "
-                f"{_yesno(d.baseline_ok):<12} {voted:<28} {_yesno(d.defense_ok):<4} "
+                f"{_yesno(_baseline_ok(r)):<12} {voted:<28} {_yesno(d.voted_label == r.true_label):<4} "
                 f"{','.join(flags)}"
             )
-            for v in d.voters:
-                when = v.capture_date or "current"
+            for v in d.votes:
+                when = _iso(v.capture_date) or "current"
                 lines.append(
                     f"      voter {v.source:<8} {when:<12} {name(v.label):<20} "
                     f"{_pct(v.confidence)}%"
@@ -485,8 +453,10 @@ def run_full_sweep(out_dir, stages: dict | None = None, max_images: int | None =
     history, to neighbouring poles or other headings, but never narrow it.
     """
     sweep_start = time.monotonic()
-    os.makedirs(str(out_dir), exist_ok=True)
     cfg = {stage: config() for stage, config in STAGES.items()} | (stages or {})
+    if cfg["synth"].test_per_class == 0:
+        raise EmptyDataset("no test items")
+    os.makedirs(str(out_dir), exist_ok=True)
     seed = cfg["synth"].seed
     seconds = {}
 
@@ -494,8 +464,6 @@ def run_full_sweep(out_dir, stages: dict | None = None, max_images: int | None =
     ds, seconds["synth"] = _timed(synth_dataset, cfg["synth"])
     mcfg = fit_input_side(cfg["model"], ds)
     test_items = ds.split("test")
-    if not test_items:
-        raise EmptyDataset("no test items")
 
     # The baseline reads only the corpus and its own augment stream, so the
     # two trainings run side by side; each is timed inside its own job.

@@ -1,6 +1,8 @@
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import zlib
 from pathlib import Path
@@ -55,6 +57,18 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     return set_cpus
+
+
+def run_cli(*args) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `python -m chrono_shield.cli *args` run
+    in a subprocess with src on PYTHONPATH: what a shell sees, with no
+    capture of the test runner in between."""
+    src = str(TESTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chrono_shield.cli", *map(str, args)], capture_output=True, text=True, env=env, timeout=300
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def csw1_container(shapes, payloads=None) -> bytes:

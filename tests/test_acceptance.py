@@ -79,9 +79,9 @@ def test_acceptance_1_defense_protocol(full_run):
     eligible = [
         r
         for r in report.attack_rows
-        if r.success and r.defense is not None and all(v.label == r.true_label for v in r.defense.voters[1:])
+        if r.success and r.defense is not None and all(v.label == r.true_label for v in r.defense.votes[1:])
     ]
-    recovered = sum(r.defense.defense_ok for r in eligible)
+    recovered = sum(r.defense.voted_label == r.true_label for r in eligible)
     ok = (
         attacked >= 50
         and rate is not None

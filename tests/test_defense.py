@@ -180,6 +180,26 @@ class TestVoteProperties:
         assert v.voted_label == true_label
         assert v.suspected_attack == (adv_label != true_label)
 
+    @given(st.data())
+    @settings(max_examples=1000)
+    def test_k_corrupted_voters_never_overturn_a_lead_above_2k(self, data):
+        # Corrupting k voters, the current frame among them or not, takes at
+        # most k votes from the winner and gives at most k to any rival, so
+        # a lead over the runner-up above 2k decides the vote either way.
+        # The lead is drawn just above 2k, where a miscount would show.
+        k = data.draw(st.integers(0, 3))
+        rival = data.draw(st.integers(0, 4))
+        winner, runner_up, *others = data.draw(st.permutations(range(16)))
+        lead = 2 * k + data.draw(st.integers(1, 3))
+        crowd = [winner] * (rival + lead) + [runner_up] * rival + others[:rival]
+        voters = [(label, data.draw(confs)) for label in data.draw(st.permutations(crowd))]
+        corrupted = list(voters)
+        for i in data.draw(st.permutations(range(len(voters))))[:k]:
+            corrupted[i] = (data.draw(st.sampled_from([runner_up, winner, others[0]])), data.draw(confs))
+        before = majority_vote(mk_pred(*voters[0]), [mk_pred(*v) for v in voters[1:]])
+        after = majority_vote(mk_pred(*corrupted[0]), [mk_pred(*v) for v in corrupted[1:]])
+        assert before.voted_label == after.voted_label == winner
+
 
 # ---------------------------------------------------------------------------
 # defend() wiring and formatting

@@ -6,7 +6,9 @@ import hashlib
 import json
 import logging
 import os
+import socket
 import typing
+from datetime import date
 
 import numpy as np
 import pytest
@@ -31,13 +33,12 @@ from chrono_shield.configfile import (
     parse_config_text,
 )
 from chrono_shield.dataset import DatasetMalformed, LabeledImageSet, load_dataset
+from chrono_shield.defense import DefenseWarning, Verdict, Vote
 from chrono_shield.fixture_server import HistoryFixtureServer
 from chrono_shield.harness import (
     AttackRecord,
-    DefenseRecord,
     ExperimentReport,
     QUERY_DATE,
-    VoterRow,
     emit_report,
     run_attack_sweep,
     run_defense_sweep,
@@ -63,7 +64,7 @@ from chrono_shield.synth import (
     synth_dataset,
 )
 
-from conftest import csw1_container, flat_image
+from conftest import csw1_container, flat_image, run_cli
 
 TINY_MODEL = ModelConfig(input_side=16, channels=(4, 4, 4), num_classes=16)
 
@@ -325,15 +326,9 @@ def attack_row(image_id=0, success=False, **kw):
     return AttackRecord(**base)
 
 
-def defense_row(defense_ok=True, baseline_ok=None):
-    return DefenseRecord(
-        voted_label=0 if defense_ok else 1,
-        voted_confidence=0.8,
-        defense_ok=defense_ok,
-        suspected_attack=True,
-        baseline_label=None if baseline_ok is None else (0 if baseline_ok else 1),
-        baseline_ok=baseline_ok,
-    )
+def verdict(voted_label=0, votes=(), warnings=()):
+    """A Verdict for attack_row's true label 0: correct when voted_label is 0."""
+    return Verdict(voted_label, 0.8, list(votes), suspected_attack=True, warnings=list(warnings))
 
 
 class TestReportAggregates:
@@ -346,10 +341,10 @@ class TestReportAggregates:
     def test_handcrafted_rates(self):
         r = ExperimentReport(class_names=list(CLASS_NAMES))
         r.attack_rows = [
-            attack_row(0, True, defense=defense_row(defense_ok=True, baseline_ok=True)),
-            attack_row(1, True, defense=defense_row(defense_ok=False, baseline_ok=False)),
+            attack_row(0, True, defense=verdict(0), baseline_label=0),
+            attack_row(1, True, defense=verdict(1), baseline_label=1),
             # Failed attack: excluded from both defended rates.
-            attack_row(2, False, defense=defense_row(defense_ok=True, baseline_ok=True)),
+            attack_row(2, False, defense=verdict(0), baseline_label=0),
         ]
         assert r.attack_success_rate() == pytest.approx(2 / 3)
         assert r.defense_success_rate() == pytest.approx(1 / 2)
@@ -359,7 +354,7 @@ class TestReportAggregates:
 class TestEmitReport:
     def sample(self):
         r = ExperimentReport(class_names=list(CLASS_NAMES))
-        r.attack_rows = [attack_row(0, True, defense=defense_row(defense_ok=True)), attack_row(1, False)]
+        r.attack_rows = [attack_row(0, True, defense=verdict(0)), attack_row(1, False)]
         r.meta = {"seed": 0}
         return r
 
@@ -389,11 +384,11 @@ class TestEmitReport:
             assert emit_report(self.sample(), fmt) == emit_report(self.sample(), fmt)
 
     # SHA-256 of emit_report(sample()): csv and text-table as the hand-listed
-    # emitters wrote them, json with each defense nested in its attack row;
+    # emitters wrote them, json with each row's defense the Verdict itself;
     # a change to these bytes must be a deliberate one.
     GOLDEN = {
         "csv": "10ef1dd29580b8eb9559be40de3e8648f6c6b9a33be00a143bd5abee6cf530bb",
-        "json": "6aeaacee4da64da3d91866887869c06d86c1737682a7ae2295bac2261ba9f949",
+        "json": "6106dcc97f5ebd1fcb641981c384c22c489b0301f91aa27fd820329ef1a521df",
         "text-table": "eb05f37514f70845ac2b9be0a0c1a9e1e94eda4f07503b2aeb897be939a7bd0d",
     }
 
@@ -406,11 +401,11 @@ class TestEmitReport:
         carried = {"adversarial_image", "shadow"}
         attack_keys = {f.name for f in dataclasses.fields(AttackRecord)} - carried
         assert all(set(row) == attack_keys for row in doc["attack_rows"])
-        defense_keys = {f.name for f in dataclasses.fields(DefenseRecord)}
-        assert all(row["defense"] is None or set(row["defense"]) == defense_keys for row in doc["attack_rows"])
+        defense_keys = {f.name for f in dataclasses.fields(Verdict)}
         defended, held = doc["attack_rows"]
         assert set(defended["defense"]) == defense_keys and held["defense"] is None
-        assert defended["defense"]["voters"] == [] and defended["defense"]["warnings"] == []
+        assert defended["defense"]["votes"] == [] and defended["defense"]["warnings"] == []
+        assert defended["baseline_label"] is None and held["baseline_label"] is None
         assert set(doc) == {"class_names", "attack_rows", "aggregates", "meta"}
 
     def test_unknown_format(self):
@@ -420,19 +415,17 @@ class TestEmitReport:
     def test_label_past_the_names_reads_class_n(self):
         # A model may have more outputs than the corpus has names.
         r = ExperimentReport(class_names=["stop", "yield"])
-        defense = dataclasses.replace(
-            defense_row(defense_ok=False, baseline_ok=False),
-            voted_label=19, baseline_label=19,
-            voters=(VoterRow(source="current", capture_date="", label=19, confidence=0.7),),
-        )
-        r.attack_rows = [attack_row(0, True, adv_label=19, defense=defense)]
+        defense = verdict(19, votes=[Vote("current", 19, 0.7)], warnings=[DefenseWarning.TIE_BROKEN])
+        r.attack_rows = [attack_row(0, True, adv_label=19, defense=defense, baseline_label=19)]
         lines = [line for line in emit_report(r, "csv").decode().splitlines() if not line.startswith("#")]
         row = next(csv.DictReader(lines))
         assert (row["true"], row["adv"], row["baseline"], row["voted"]) == ("stop", "class_19", "class_19", "class_19")
-        assert row["voters"] == "current::class_19:70.00"
+        assert (row["voters"], row["warnings"]) == ("current::class_19:70.00", "TIE_BROKEN")
         assert emit_report(r, "text-table").decode().count("class_19") == 3  # adversarial, voted, voter
         doc = json.loads(emit_report(r, "json"))
-        assert doc["attack_rows"][0]["adv_label"] == 19 and doc["attack_rows"][0]["defense"]["voters"][0]["label"] == 19
+        assert doc["attack_rows"][0]["adv_label"] == 19 and doc["attack_rows"][0]["baseline_label"] == 19
+        assert doc["attack_rows"][0]["defense"]["votes"][0]["label"] == 19
+        assert doc["attack_rows"][0]["defense"]["warnings"] == ["TIE_BROKEN"]
         # With no names at all, every label reads class_<n>.
         assert b"class_0,class_0" in emit_report(ExperimentReport(class_names=[], attack_rows=[attack_row(0)]), "csv")
 
@@ -495,29 +488,33 @@ class TestDefenseSweep:
         row, skipped = report.attack_rows
         assert row.image_id == 0 and row.true_label == 5
         assert row.success
-        assert skipped.defense is None
+        assert skipped.defense is None and skipped.baseline_label is None
         d = row.defense
-        assert len(d.voters) == 4
-        assert d.voters[0].source == "current" and d.voters[0].capture_date == ""
-        assert all(v.source == "archive" for v in d.voters[1:])
-        assert [v.capture_date for v in d.voters[1:]] == [
-            "2020-11-21", "2019-07-03", "2016-10-12"
+        assert len(d.votes) == 4
+        assert d.votes[0].source == "current" and d.votes[0].capture_date is None
+        assert all(v.source == "archive" for v in d.votes[1:])
+        assert [v.capture_date for v in d.votes[1:]] == [
+            date(2020, 11, 21), date(2019, 7, 3), date(2016, 10, 12)
         ]
         # Zero weights vote class 0 everywhere: wiring, not accuracy.
-        assert d.voted_label == 0 and not d.defense_ok
-        assert d.baseline_label == 0 and d.baseline_ok is False
+        assert d.voted_label == 0 and row.baseline_label == 0
         # One row per image: its attack columns, and the defense columns
         # where it was defended. The rows passed in are left as they were.
-        assert rows == before and all(r.defense is None for r in rows)
-        assert [dataclasses.replace(r, defense=None) for r in report.attack_rows] == rows
+        assert rows == before and all(r.defense is None and r.baseline_label is None for r in rows)
+        assert [dataclasses.replace(r, defense=None, baseline_label=None) for r in report.attack_rows] == rows
         lines = emit_report(report, "csv").decode().splitlines()[3:]
         table = list(csv.DictReader(lines))
         assert [(t["clean"], t["iterations"], t["attack_success"]) for t in table] == [
             ("curve_left", "3", "yes"), ("curve_left", "3", "yes")
         ]
         assert table[0]["voted"] == "stop" and table[0]["no_defense_ok"] == "no"  # adv_label 1 != true 5
+        assert (table[0]["baseline"], table[0]["baseline_ok"], table[0]["defense_ok"]) == ("stop", "no", "no")
+        assert table[0]["voters"].startswith("current::stop:") and "|archive:2020-11-21:stop:" in table[0]["voters"]
         defense_columns = harness._CSV_HEADER[harness._CSV_HEADER.index("no_defense_ok"):]
         assert len(defense_columns) == 9 and all(table[1][c] == "" for c in defense_columns)
+        # report.json holds the Verdict: the current frame's date is null.
+        votes = json.loads(emit_report(report, "json"))["attack_rows"][0]["defense"]["votes"]
+        assert [v["capture_date"] for v in votes] == [None, "2020-11-21", "2019-07-03", "2016-10-12"]
 
     def test_manifest_read_once_per_sweep(self, tmp_path, rng, monkeypatch):
         labels = [5, 2, 9]
@@ -754,14 +751,22 @@ class TestCli:
         rc = cli.main(["--out", str(tmp_path / "m"), "mask", str(blank)])
         assert rc == 2
 
-    def test_mask_sign_image_succeeds(self, cli_workspace, tmp_path, rng):
+    @pytest.mark.parametrize("name", ["mask.png", "Result.PNG"])
+    def test_mask_sign_image_succeeds(self, cli_workspace, tmp_path, rng, name):
+        # An --out with an image extension, in either case, names the file.
         sign = tmp_path / "sign.png"
         save_image(render_sign(0, 64, rng), str(sign))
-        dest = tmp_path / "mask.png"
+        dest = tmp_path / name
         rc = cli.main(["--out", str(dest), "mask", str(sign)])
-        assert rc == 0
+        assert rc == 0 and dest.is_file()
         mask_img = load_image(str(dest))
         assert (mask_img.width, mask_img.height) == (64, 64)
+
+    def test_train_out_in_upper_case_names_the_weights_file(self, cli_workspace, tmp_path):
+        _, cfg, out = cli_workspace
+        dest = tmp_path / "W.CSW"
+        rc = cli.main(["--config", str(cfg), "--out", str(dest), "train", "--data", str(out / "dataset")])
+        assert rc == 0 and dest.read_bytes()[:4] == b"CSW1"
 
     def test_attack_runs_and_writes_image(self, cli_workspace, tmp_path, rng):
         root, cfg, out = cli_workspace
@@ -917,6 +922,9 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
         assert (rc, calls) == (2, [])
         assert capsys.readouterr().err == "bad input: no test items\n"
+        # A shell sees the same one line: the refusal comes before the synth stage.
+        assert run_cli("--config", cfg, "--out", tmp_path / "o", "sweep") == (2, "", "bad input: no test items\n")
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_with_a_bad_attack_setting_trains_nothing(self, cli_workspace, tmp_path, monkeypatch, capsys):
         _, tiny_cfg, _ = cli_workspace
@@ -928,16 +936,20 @@ class TestCli:
         assert (rc, calls) == (2, [])
         assert capsys.readouterr().err == "bad input: swarm and iterations must be positive, got 0, 2\n"
 
-    @pytest.mark.parametrize("command", [["train"], ["sweep", "--max-images", "1"]], ids=["train", "sweep"])
-    def test_diverging_training_exits_2_and_writes_no_weights(self, cli_workspace, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, progress",
+        [(["train"], ""), (["sweep", "--max-images", "1"], "rendering corpus: 1 train + 1 test per class\n")],
+        ids=["train", "sweep"],
+    )
+    def test_diverging_training_exits_2_and_writes_no_weights(self, cli_workspace, tmp_path, command, progress):
         # At this rate the first update leaves weights near 1e30, whose
-        # forward pass overflows float32.
+        # forward pass overflows float32. The sweep refuses it after its
+        # synth stage, so the refusal is the last of two stderr lines.
         _, tiny_cfg, _ = cli_workspace
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(tiny_cfg.read_text() + "train.learning_rate = 1e30\n")
-        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), *command])
-        assert rc == 2
-        assert capsys.readouterr().err == "bad input: training left weights with a non-finite loss\n"
+        rc, _, err = run_cli("--config", cfg, "--out", tmp_path / "o", *command)
+        assert (rc, err) == (2, progress + "bad input: training left weights with a non-finite loss\n")
         assert list(tmp_path.rglob("*.csw")) == []
 
     # Every field of every stage config, each to be set to -1 and to 0.
@@ -1022,7 +1034,10 @@ class TestCli:
         "sweep-min-history-0": ["--config", "{cfg_sweep_min_history_0}", "sweep", "--max-images", "1"],
         "sweep-one-channel-count": ["--config", "{cfg_sweep_one_channel_count}", "sweep", "--max-images", "1"],
         "sweep-vertices-2": ["--config", "{cfg_sweep_vertices_2}", "sweep", "--max-images", "1"],
+        "sweep-max-images-negative": ["--config", "{cfg_tiny}", "sweep", "--max-images", "-1"],
     }
+    # Refused once the synth stage has run, so its progress line comes first.
+    AFTER_SYNTH = {"sweep-side-20", "sweep-10-classes"}
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
     def test_bad_input_is_one_stderr_line_and_exit_2(self, cli_workspace, tmp_path, rng, capsys, case):
@@ -1104,6 +1119,7 @@ class TestCli:
             cfg_sweep_min_history_0=tmp_path / "sweep_min_history_0.cfg",
             cfg_sweep_one_channel_count=tmp_path / "sweep_one_channel_count.cfg",
             cfg_sweep_vertices_2=tmp_path / "sweep_vertices_2.cfg",
+            cfg_tiny=tiny_cfg,
         )
         args = [arg.format(**paths) for arg in self.BAD_INPUTS[case]]
         options = []  # options before the command
@@ -1117,9 +1133,27 @@ class TestCli:
             where = ["--label", "stop"] if command == "attack" else ["--lat", "40", "--lon", "-74", "--heading", "90"]
             argv = [*options, command, "--model", str(out / "weights.csw"), "--image", str(sign), *where, *extra]
         rc = cli.main(["--out", str(tmp_path / "o"), *argv])
-        err = capsys.readouterr().err
+        *progress, refusal = capsys.readouterr().err.splitlines()
         assert rc == 2
-        assert len(err.splitlines()) == 1 and err.startswith(("no attack: ", "no history: ", "bad input: "))
+        assert progress == (["rendering corpus: 1 train + 1 test per class"] if case in self.AFTER_SYNTH else [])
+        assert refusal.startswith(("no attack: ", "no history: ", "bad input: "))
+
+    @pytest.mark.parametrize("port", ["-1", "70000", "busy", "no-manifest"])
+    def test_serve_fixture_bad_input_is_one_stderr_line(self, tmp_path, capsys, port):
+        root = tmp_path / "archive"
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            if port == "no-manifest":
+                root.mkdir()
+                port, expected = "0", f"bad input: no manifest.json under {root}\n"
+            else:
+                make_history_archive([0], root, side=16, renders_per_sign=1, seed=0)
+                port = str(taken.getsockname()[1]) if port == "busy" else port
+                expected = f"bad input: cannot serve on 127.0.0.1:{port}: "
+            rc = cli.main(["serve-fixture", "--root", str(root), "--port", port])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and err.startswith(expected)
 
     @pytest.mark.parametrize("flag, value", [("--heading", "nan"), ("--heading", "-inf"), ("--before", "2025-13-01")])
     def test_bad_history_query_is_bad_input(self, cli_workspace, tmp_path, rng, capsys, flag, value):
