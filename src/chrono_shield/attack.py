@@ -59,17 +59,13 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class AttackConfig(PsoConfig):
-    """The swarm's PsoConfig plus the shadow's shape and the fitness."""
+    """The swarm's PsoConfig plus the shadow's shape."""
 
     vertices: int = 3
     darkening: float = 0.43
-    fitness: str = "true_prob"  # or "margin"
-    early_stop: bool = True
 
     def __post_init__(self):
         super().__post_init__()
-        if self.fitness not in ("true_prob", "margin"):
-            raise InvalidConfig(f"unknown fitness {self.fitness!r}")
         if self.vertices < 3:
             raise InvalidConfig(f"polygon needs >= 3 vertices, got {self.vertices}")
         if not 0.0 < self.darkening <= 1.0:
@@ -214,11 +210,12 @@ def run_attack(
     true_label: int,
     config: AttackConfig = AttackConfig(),
 ) -> AttackResult:
-    """Search for a shadow that flips the victim's label on img.
+    """Search for a shadow that flips the victim's label on img away from
+    true_label, stopping after the first swarm round that does.
 
     victim is any callable list[RasterImage] -> list[Prediction], one
     Prediction per frame; each swarm round is one call. Fitness is the
-    victim's true-class probability, or (margin) true-class minus best-other.
+    victim's true-class probability.
     """
     if (mask.height, mask.width) != (img.height, img.width):
         raise DegenerateMask("mask and image dimensions differ")
@@ -229,13 +226,6 @@ def run_attack(
 
     best_flip: dict | None = None
 
-    def score(pred: Prediction) -> float:
-        p_true = float(pred.distribution[true_label])
-        if config.fitness == "margin":
-            others = np.delete(pred.distribution, true_label)
-            return p_true - float(others.max())
-        return p_true
-
     def batch_objective(positions: np.ndarray) -> np.ndarray:
         nonlocal best_flip
         shaded = _shadow_batch(img, mask, positions.reshape(-1, k, 2), config.darkening)
@@ -243,7 +233,7 @@ def run_attack(
         preds = victim(images)
         fits = np.empty(len(preds), dtype=np.float64)
         for i, pred in enumerate(preds):
-            fits[i] = score(pred)
+            fits[i] = pred.distribution[true_label]
             if pred.label != true_label and (best_flip is None or fits[i] < best_flip["fitness"]):
                 best_flip = {
                     "fitness": fits[i],
@@ -252,10 +242,7 @@ def run_attack(
                 }
         return fits
 
-    def should_stop() -> bool:
-        return config.early_stop and best_flip is not None
-
-    gbest, _, trace = pso_minimize(batch_objective, 2 * k, config, should_stop=should_stop)
+    gbest, _, trace = pso_minimize(batch_objective, 2 * k, config, should_stop=lambda: best_flip is not None)
 
     if best_flip is not None:
         shadow = best_flip["shadow"]
@@ -269,7 +256,7 @@ def run_attack(
         shadow=shadow,
         original_prediction=original,
         adversarial_prediction=adv_pred,
-        success=adv_pred.label != original.label,
+        success=adv_pred.label != true_label,
         iterations_used=len(trace),
         fitness_trace=trace,
     )

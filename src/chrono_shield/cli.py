@@ -211,7 +211,10 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _configs(args)
     ds = load_dataset(args.data) if args.data else synth_dataset(cfg["synth"])
-    weights = train(ds, cfg["train"], fit_input_side(cfg["model"], ds))
+    items = ds.split("train")
+    if not items:
+        raise EmptyDataset("no training items")
+    weights = train(ds, cfg["train"], fit_input_side(cfg["model"], items[0][0].height))
     accuracy, loss = evaluate(weights, ds.split("test") or ds.split("train"))
     path = _out_file(args.out, "weights.csw", exts=(".csw",))
     with open(path, "wb") as fh:

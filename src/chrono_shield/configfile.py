@@ -48,23 +48,11 @@ def parse_config_file(path) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
 def _coerce(value: str, annotation) -> object:
     if typing.get_origin(annotation) is tuple:
-        inner = typing.get_args(annotation)
-        elem = inner[0] if inner else str
+        elem = typing.get_args(annotation)[0]
         parts = [p.strip() for p in value.split(",") if p.strip()]
         return tuple(_coerce(p, elem) for p in parts)
-    if annotation is bool:
-        low = value.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise BadConfigLine(f"expected a boolean, got {value!r}")
     if annotation in (int, float):
         try:
             number = annotation(value)

@@ -1,9 +1,9 @@
 """Local HTTP fixture serving a history archive for tests and demos.
 
 Routes:
-  GET /history?lat=..&lon=..[&heading=..][&max=..][&before=..] -> JSON rows
-      {"image_url", "date", "lat", "lon", "heading"}; no heading matches
-      any heading, no max returns every match
+  GET /history?lat=..&lon=..[&before=..] -> JSON rows
+      {"image_url", "date", "lat", "lon", "heading"}: every row within the
+      archive policy's radius, any heading; other parameters are ignored
   GET /image/<relpath>  -> the archive image as PNG: a stored PNG file's
       own bytes, any other image transcoded
   GET /stats            -> {"hits", "history", "image"} request counters
@@ -68,16 +68,14 @@ class _Handler(BaseHTTPRequestHandler):
                 qs = parse_qs(parsed.query)
                 query = HistoryQuery(
                     location=(float(qs["lat"][0]), float(qs["lon"][0])),
-                    heading=float(qs["heading"][0]) if "heading" in qs else 0.0,
-                    max_records=int(qs["max"][0]) if "max" in qs else max(len(fixture.archive.entries), 1),
+                    heading=0.0,
+                    max_records=max(len(fixture.archive.entries), 1),
                     before=date.fromisoformat(qs["before"][0]) if "before" in qs else None,
                 )
             except (KeyError, ValueError) as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
-            policy = fixture.archive.policy
-            if "heading" not in qs:
-                policy = dataclasses.replace(policy, heading_tol_deg=180.0)
+            policy = dataclasses.replace(fixture.archive.policy, heading_tol_deg=180.0)
             entries = filter_entries(fixture.archive.entries, query, policy)
             rows = [dataclasses.replace(e, path=f"image/{e.path}") for e in entries]
             self._send(200, dump_manifest(rows, path_key="image_url"), "application/json")

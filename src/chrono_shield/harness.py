@@ -38,13 +38,14 @@ from .cnn import (
     save_weights,
     train,
 )
+from .configfile import InvalidConfig
 from .dataset import LabeledImageSet
 from .defense import Verdict, VotePolicy, class_name, defend
 from .history import HistoryQuery, LocalArchive, MatchPolicy
 from .masks import BinaryMask, MaskParams, NoContourFound, generate_mask
 from .parallel import map_in_order
 from .raster import RasterImage
-from .synth import SynthConfig, make_history_archive, synth_dataset
+from .synth import CLASS_NAMES, SynthConfig, make_history_archive, synth_dataset
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +185,7 @@ def run_attack_sweep(
         log.info(
             "attack %d/%d: image %d %s -> %s (%s)",
             attacked,
-            max_images if max_images is not None else len(items),
+            len(report.attack_rows),
             row.image_id,
             class_name(row.true_label, dataset.class_names),
             class_name(row.adv_label, dataset.class_names),
@@ -431,13 +432,9 @@ def _timed(job, *args, **kwargs):
     return out, time.monotonic() - t0
 
 
-def fit_input_side(model: ModelConfig, ds: LabeledImageSet) -> ModelConfig:
-    """model with its input side cut to the frame height of ds's first
-    training item; a set with no training items raises EmptyDataset."""
-    items = ds.split("train")
-    if not items:
-        raise EmptyDataset("no training items")
-    return dataclasses.replace(model, input_side=min(model.input_side, items[0][0].height))
+def fit_input_side(model: ModelConfig, side: int) -> ModelConfig:
+    """model with its input side cut to a frame side of side pixels."""
+    return dataclasses.replace(model, input_side=min(model.input_side, side))
 
 
 def run_full_sweep(out_dir, stages: dict | None = None, max_images: int | None = None) -> ExperimentReport:
@@ -456,13 +453,15 @@ def run_full_sweep(out_dir, stages: dict | None = None, max_images: int | None =
     cfg = {stage: config() for stage, config in STAGES.items()} | (stages or {})
     if cfg["synth"].test_per_class == 0:
         raise EmptyDataset("no test items")
+    mcfg = fit_input_side(cfg["model"], cfg["synth"].side)
+    if mcfg.num_classes < len(CLASS_NAMES):
+        raise InvalidConfig(f"model.num_classes is {mcfg.num_classes}, below the {len(CLASS_NAMES)} synth classes")
     os.makedirs(str(out_dir), exist_ok=True)
     seed = cfg["synth"].seed
     seconds = {}
 
     log.info("rendering corpus: %d train + %d test per class", cfg["synth"].per_class, cfg["synth"].test_per_class)
     ds, seconds["synth"] = _timed(synth_dataset, cfg["synth"])
-    mcfg = fit_input_side(cfg["model"], ds)
     test_items = ds.split("test")
 
     # The baseline reads only the corpus and its own augment stream, so the

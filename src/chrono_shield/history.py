@@ -2,12 +2,12 @@
 
 An archive is a directory with a manifest.json (a JSON array of
 {"path", "date", "lat", "lon", "heading"}) plus image files. The remote
-protocol is GET {endpoint}/history?lat=..&lon=..[&heading=..][&max=..]
-[&before=YYYY-MM-DD] returning the same rows with image_url instead of
-path, relative to the endpoint or absolute under it; without heading the
-server matches any heading, without max it returns every match. Matching
-is geometric only: haversine radius, heading tolerance, optional date
-bound; results come back newest-first.
+protocol is GET {endpoint}/history?lat=..&lon=..[&before=YYYY-MM-DD]
+returning every row within the server's radius of the location, any
+heading, as the same rows with image_url instead of path, relative to the
+endpoint or absolute under it. Matching is geometric only: haversine
+radius, heading tolerance, optional date bound; results come back
+newest-first.
 """
 
 from __future__ import annotations
@@ -157,15 +157,13 @@ def dump_manifest(entries: list[ManifestEntry], path_key: str = "path") -> bytes
 
 
 def parse_manifest(text: str, path_key: str = "path") -> list[ManifestEntry]:
-    """Accepts the bare-array form or {"version": N, "entries": [...]}."""
+    """The rows of a manifest's text, a JSON array of records."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestMalformed(f"manifest is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ManifestMalformed("manifest nests too deeply to parse") from None
-    if isinstance(doc, dict):
-        doc = doc.get("entries")
     if not isinstance(doc, list):
         raise ManifestMalformed("manifest must be a JSON array of records")
     return [_parse_entry(row, path_key) for row in doc]

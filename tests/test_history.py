@@ -195,10 +195,6 @@ class TestManifest:
         m = parse_manifest(json.dumps([GOOD_ROW]))
         assert m == [ManifestEntry("a.png", date(2019, 7, 3), 40.0, -74.0, 90.0)]
 
-    def test_versioned_dict_form(self):
-        m = parse_manifest(json.dumps({"version": 2, "entries": [GOOD_ROW]}))
-        assert m == parse_manifest(json.dumps([GOOD_ROW]))
-
     def test_dump_is_parsed_back_exactly(self):
         entries = [
             ManifestEntry("a.png", date(2019, 7, 3), 40.1 + 0.2, -74.0 / 3, 359.99999999999994),
@@ -218,7 +214,8 @@ class TestManifest:
         [
             "{not json",
             "42",
-            json.dumps({"version": 1}),  # dict without entries
+            json.dumps({"version": 1}),  # an object, not an array
+            json.dumps({"version": 2, "entries": [GOOD_ROW]}),  # rows wrapped in an object
             json.dumps([{"path": "a.png"}]),  # row missing fields
             json.dumps([{**GOOD_ROW, "date": "not-a-date"}]),
             pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),  # deeper than json can recurse
@@ -699,16 +696,10 @@ class TestFixtureServer:
         with HistoryFixtureServer(root) as server:
             params = {"lat": lat, "lon": lon}
             rows = requests.get(server.url + "/history", params=params, timeout=5).json()
-            capped = requests.get(server.url + "/history", params={**params, "heading": 270, "max": 2}, timeout=5).json()
-        assert len(rows) == 3 and capped == []
-
-    @pytest.mark.parametrize("heading", ["nan", "inf", "-inf"])
-    def test_history_with_non_finite_heading_is_400(self, archive, heading):
-        root, coords = archive
-        lat, lon, _ = coords[0]
-        with HistoryFixtureServer(root) as server:
-            resp = requests.get(server.url + "/history", params={"lat": lat, "lon": lon, "heading": heading}, timeout=5)
-        assert resp.status_code == 400 and "not finite" in resp.json()["error"]
+            # The route reads lat, lon and before only; other parameters change nothing.
+            extras = [{"heading": 270, "max": 2}, {"heading": "nan", "max": "x"}]
+            others = [requests.get(server.url + "/history", params={**params, **extra}, timeout=5).json() for extra in extras]
+        assert len(rows) == 3 and others == [rows, rows]
 
     @pytest.mark.parametrize("route", ["history", "image"])
     def test_oversized_body_is_refused_in_bounded_memory(self, monkeypatch, tmp_path, route):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from chrono_shield import cli, harness
+from chrono_shield.configfile import apply_overrides, check_namespaces, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chrono_shield"
@@ -136,9 +137,35 @@ def test_every_stage_flag_names_a_stage_field():
         assert name in {f.name for f in dataclasses.fields(harness.STAGES[stage])}, dest
 
 
+def configuration_section() -> str:
+    return (ROOT / "README.md").read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+
+
+STAGE_FIELDS = [(stage, f.name) for stage, config in harness.STAGES.items() for f in dataclasses.fields(config)]
+
+
 def test_readme_configuration_table_lists_every_stage_field():
     """README's "Configuration" table has one row per `<stage>.<field>` key."""
-    section = (ROOT / "README.md").read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
-    keys = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", section, re.M)
-    fields = [f"{stage}.{f.name}" for stage, config in harness.STAGES.items() for f in dataclasses.fields(config)]
-    assert sorted(keys) == sorted(fields)
+    keys = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", configuration_section(), re.M)
+    assert sorted(keys) == sorted(f"{stage}.{name}" for stage, name in STAGE_FIELDS)
+
+
+@pytest.mark.parametrize("stage, name", STAGE_FIELDS, ids=[f"{stage}.{name}" for stage, name in STAGE_FIELDS])
+def test_every_stage_default_reads_back_from_its_text(stage, name):
+    """A field's default, written as a config file writes it (a tuple as
+    16,32,64), reads back as the same value of the same type; a field type
+    the config reader does not know would stay a string and fail here."""
+    default = harness.STAGES[stage]()
+    value = getattr(default, name)
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    assert repr(apply_overrides(default, {f"{stage}.{name}": text}, stage)) == repr(default)
+
+
+def test_readme_example_config_applies_to_every_stage():
+    block = re.search(r"```ini\n(.*?)```", configuration_section(), re.S).group(1)
+    values = parse_config_text(block)
+    assert values
+    check_namespaces(values, harness.STAGES)
+    for stage, config in harness.STAGES.items():
+        apply_overrides(config(), values, stage)
+
